@@ -1,0 +1,118 @@
+"""Line-oriented experiment configuration files.
+
+Format: one ``key=value`` per line, ``#`` starts a comment, blank lines are
+ignored. Keys:
+
+    ns=400                      frame size in slots
+    seed=7                      64-bit RNG seed (optional, default 0)
+    users=302x(3,1)             user population, space-separated groups
+    users=2x(4,2) 3x(2,1)       heterogeneous mixture, expanded in order
+
+Every diagnostic carries the offending line number.
+"""
+from __future__ import annotations
+
+import re
+
+from .model import SystemConfig, UserCode
+
+_GROUP_RE = re.compile(r"^(\d+)x\((\d+),(\d+)\)$")
+_KEYS = ("ns", "seed", "users")
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent configuration text."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        prefix = f"line {line}: " if line is not None else ""
+        super().__init__(prefix + message)
+
+
+def _parse_int(key: str, value: str, line: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"non-numeric value for '{key}': {value!r}", line) from None
+
+
+def _parse_users(value: str, line: int) -> list[tuple[int, int, int]]:
+    groups: list[tuple[int, int, int]] = []
+    for token in value.split():
+        match = _GROUP_RE.match(token)
+        if match is None:
+            raise ConfigError(
+                f"malformed user group {token!r} (expected COUNTx(n,k))", line
+            )
+        count, n, k = (int(x) for x in match.groups())
+        if count < 1:
+            raise ConfigError(f"user group count must be >= 1, got {count}", line)
+        groups.append((count, n, k))
+    return groups
+
+
+def parse_config(text: str) -> SystemConfig:
+    """Parse configuration text into a validated SystemConfig."""
+    ns: int | None = None
+    seed = 0
+    groups: list[tuple[int, int, int]] | None = None
+    users_line = 0
+    seen: set[str] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected key=value, got {line!r}", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in seen:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        seen.add(key)
+        if key == "ns":
+            ns = _parse_int(key, value, lineno)
+        elif key == "seed":
+            seed = _parse_int(key, value, lineno)
+        elif key == "users":
+            groups = _parse_users(value, lineno)
+            users_line = lineno
+
+    if ns is None:
+        raise ConfigError("missing required key 'ns'")
+    if groups is None:
+        raise ConfigError("missing required key 'users'")
+    if not groups:
+        raise ConfigError("user list is empty", users_line)
+
+    users: list[UserCode] = []
+    for count, n, k in groups:
+        if not 1 <= k <= n:
+            raise ConfigError(
+                f"invalid user code (n={n}, k={k}): need 1 <= k <= n", users_line
+            )
+        if n > ns:
+            raise ConfigError(
+                f"burst count n={n} exceeds frame size ns={ns}", users_line
+            )
+        users.extend([UserCode(n=n, k=k)] * count)
+
+    try:
+        return SystemConfig(ns=ns, users=tuple(users), seed=seed)
+    except ValueError as exc:  # anything the per-key checks above missed
+        raise ConfigError(str(exc)) from exc
+
+
+def render_config(config: SystemConfig) -> str:
+    """Inverse of parse_config; run-length encodes the user list in order."""
+    runs: list[tuple[UserCode, int]] = []
+    for user in config.users:
+        if runs and runs[-1][0] == user:
+            runs[-1] = (user, runs[-1][1] + 1)
+        else:
+            runs.append((user, 1))
+    users = " ".join(f"{count}x({code.n},{code.k})" for code, count in runs)
+    return f"ns={config.ns}\nseed={config.seed}\nusers={users}\n"

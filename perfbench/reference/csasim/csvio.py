@@ -1,0 +1,98 @@
+"""Stable CSV serialization for results and traces.
+
+Schemas (header row always present, floats printed with 6 significant
+digits, rows in ascending round / load order):
+
+    sweep     g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+    de        l,p,q,beta
+    trace     l,newly_decoded,p_empirical,q_empirical
+    baseline  g,throughput,variant
+
+``newly_decoded`` is a semicolon-joined list of user indices. Identical
+inputs always produce byte-identical files.
+"""
+from __future__ import annotations
+
+import csv
+import io
+import os
+from typing import IO, Any
+
+from .decoder import DecodeTrace
+from .density import DETrace
+from .montecarlo import BaselineCurve, SweepResult
+
+SWEEP_HEADER = ["g", "ns", "n", "k", "frames", "throughput", "plr", "t_ci95", "plr_ci95", "seed"]
+DE_HEADER = ["l", "p", "q", "beta"]
+TRACE_HEADER = ["l", "newly_decoded", "p_empirical", "q_empirical"]
+BASELINE_HEADER = ["g", "throughput", "variant"]
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
+
+
+def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[list[str], list[list[Any]]]:
+    if isinstance(result, SweepResult):
+        rows = [
+            [
+                _fmt(pt.g),
+                pt.ns,
+                pt.n_label,
+                pt.k_label,
+                pt.aggregate.frames,
+                _fmt(pt.aggregate.t_mean),
+                _fmt(pt.aggregate.plr_mean),
+                _fmt(pt.aggregate.t_ci95),
+                _fmt(pt.aggregate.plr_ci95),
+                pt.seed,
+            ]
+            for pt in result.points
+        ]
+        return SWEEP_HEADER, rows
+    if isinstance(result, DETrace):
+        rows = [
+            [state.l, _fmt(state.p), _fmt(state.q), _fmt(state.beta)]
+            for state in result.states
+        ]
+        return DE_HEADER, rows
+    if isinstance(result, DecodeTrace):
+        rows = [
+            [
+                record.round_index,
+                ";".join(str(i) for i in sorted(record.newly_decoded)),
+                _fmt(record.p_empirical),
+                _fmt(record.q_empirical),
+            ]
+            for record in result.rounds
+        ]
+        return TRACE_HEADER, rows
+    if isinstance(result, BaselineCurve):
+        rows = [[_fmt(g), _fmt(t), result.variant] for g, t in result.points]
+        return BASELINE_HEADER, rows
+    raise TypeError(f"cannot serialize {type(result).__name__}")
+
+
+def emit_csv(
+    result: SweepResult | DETrace | DecodeTrace | BaselineCurve,
+    sink: str | os.PathLike[str] | IO[str],
+) -> None:
+    """Write a result to a path or text stream in its fixed schema."""
+    header, rows = _rows(result)
+    if isinstance(sink, (str, os.PathLike)):
+        with open(sink, "w", newline="") as handle:
+            _write(handle, header, rows)
+    else:
+        _write(sink, header, rows)
+
+
+def _write(handle: IO[str], header: list[str], rows: list[list[Any]]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def render_csv(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> str:
+    buffer = io.StringIO()
+    emit_csv(result, buffer)
+    return buffer.getvalue()

@@ -1,0 +1,214 @@
+"""Analytic per-round recursion for erasure and non-decode probabilities.
+
+The decoder behaves like iterative erasure decoding on a bipartite graph
+(slots as message nodes, users as check nodes), so its mean behaviour can be
+tracked by a recursion under an independence assumption:
+
+* ``P_l``  - probability that a remaining burst is erased (collided) at
+  round l; ``P_0`` is the collided fraction of the expected initial
+  slot-degree distribution.
+* ``Q_l``  - probability that a user is still undecodable at round l, an
+  average of complementary binomial tails over the user population.
+* ``beta_l`` - conditional probability that a still-undecoded user decodes
+  at round l, taken as the relative drop of Q.
+* The slot-degree distribution is updated by binomial thinning with the
+  fraction of remaining bursts removed in the round, and the next erasure
+  probability blends the resulting collided fraction with the previous one,
+  weighted by beta and re-normalised by the linear remaining-burst factor
+  (1 - l / n_users).
+
+The recursion halts once Q reaches (numerical) zero, once P stops making
+progress (a deadlock fixpoint), or after n_users rounds. Progress-halting
+keeps every recorded probability in [0, 1] and Q non-increasing; the raw
+update could otherwise drift upward in saturated regimes where the linear
+remaining-burst factor undershoots the actual remaining population.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammaln
+
+from .model import SlotDegreeHistogram, SystemConfig, UserCode, expected_initial_histogram
+
+EPSILON = 1e-9
+_BAND = 1e-9  # tolerance for float dust around [0, 1] before clamping
+
+
+@dataclass(frozen=True)
+class DEState:
+    """Recursion state at round l."""
+
+    l: int
+    p: float
+    q: float
+    beta: float
+    alpha: SlotDegreeHistogram
+
+
+@dataclass(frozen=True)
+class DETrace:
+    """Full recursion history; ``predicted_plr`` is the q of the last state."""
+
+    states: tuple[DEState, ...]
+    predicted_plr: float
+    converged_to_zero: bool
+
+
+def _log_binom(n, k):
+    """log C(n, k), valid for large arguments."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _clamp_unit(value: float, what: str) -> float:
+    """Clamp float dust into [0, 1]; anything beyond dust is a genuine bug."""
+    if not -_BAND <= value <= 1.0 + _BAND:
+        raise AssertionError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
+    return min(max(value, 0.0), 1.0)
+
+
+def decode_probability(code: UserCode, p: float) -> float:
+    """Probability that at least k of the n bursts survive erasure rate p.
+
+    Computed as the binomial tail sum_{i=k}^{n} C(n,i) (1-p)^i p^(n-i) in
+    log space.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erasure probability must be in [0, 1], got {p}")
+    if p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    i = np.arange(code.k, code.n + 1)
+    log_terms = _log_binom(code.n, i) + i * np.log1p(-p) + (code.n - i) * np.log(p)
+    return _clamp_unit(float(np.exp(log_terms).sum()), "decode probability")
+
+
+def system_q(config: SystemConfig, p: float) -> float:
+    """Population-average non-decode probability at erasure rate p."""
+    groups = Counter(config.users)
+    acc = sum(count * decode_probability(code, p) for code, count in groups.items())
+    return _clamp_unit(1.0 - acc / config.n_users, "system q")
+
+
+def initial_erasure_probability(
+    histogram: SlotDegreeHistogram, ns: int, total_bursts: int
+) -> float:
+    """Fraction of bursts in collided slots under a slot-degree histogram.
+
+    Uses the histogram's exact slot counts when it was measured on a
+    placement, so the value matches ``decoder.empirical_p0`` exactly.
+    """
+    if total_bursts <= 0:
+        return 0.0
+    if histogram.counts is not None:
+        collided = sum(d * c for d, c in histogram.counts.items() if d >= 2)
+        return collided / total_bursts
+    collided_mass = sum(d * a for d, a in histogram.alpha.items() if d >= 2)
+    return collided_mass * ns / total_bursts
+
+
+def _thin(alpha: np.ndarray, rho: float) -> np.ndarray:
+    """Remove each burst independently with probability rho.
+
+    Maps a degree-d slot to degree d' with binomial weight
+    C(d, d') (1-rho)^d' rho^(d-d'), evaluated in log space.
+    """
+    if rho <= 0.0:
+        return alpha
+    if rho >= 1.0:
+        out = np.zeros_like(alpha)
+        out[0] = alpha.sum()
+        return out
+    d = np.arange(alpha.size)
+    new_d, old_d = np.meshgrid(d, d, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = (
+            _log_binom(old_d, new_d)
+            + new_d * np.log1p(-rho)
+            + (old_d - new_d) * np.log(rho)
+        )
+    weights = np.where(new_d <= old_d, np.exp(log_w), 0.0)
+    return weights @ alpha
+
+
+def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
+    """Run the per-round recursion for a configuration.
+
+    Reports non-convergence through ``converged_to_zero`` instead of
+    raising; the trace always holds at least one state.
+    """
+    nu = config.n_users
+    ns = config.ns
+    total = config.total_bursts
+    groups = list(Counter(config.users).items())
+    n_vec = np.array([code.n for code, _ in groups], dtype=float)
+    count_vec = np.array([count for _, count in groups], dtype=float)
+
+    degrees = np.arange(nu + 1, dtype=float)
+    initial = expected_initial_histogram(config)
+    alpha = initial.as_array(nu)
+    p = _clamp_unit(
+        initial_erasure_probability(initial, ns, total),
+        "initial erasure probability",
+    )
+    u_prev = np.ones(len(groups))
+    q_prev = 1.0
+    states: list[DEState] = []
+    l = 0
+    while True:
+        qbar = np.array([decode_probability(code, p) for code, _ in groups])
+        q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
+        if q > q_prev + _BAND:
+            raise AssertionError(f"q increased from {q_prev!r} to {q!r}")
+        if q_prev <= epsilon:
+            beta = 0.0
+        else:
+            # numerator floored at zero so float dust in q cannot leak into
+            # beta through the 1/q_prev amplification
+            beta = min(max(q_prev - q, 0.0) / q_prev, 1.0)
+        states.append(DEState(l=l, p=p, q=q, beta=beta, alpha=_to_histogram(alpha)))
+        if q < epsilon:
+            break
+
+        # burst-weighted share of remaining bursts removed this round
+        # (reduces to beta for a homogeneous population)
+        u_now = 1.0 - qbar
+        remaining_weight = float((n_vec * count_vec * u_prev).sum())
+        if remaining_weight > epsilon:
+            rho = float((n_vec * count_vec * (u_prev - u_now)).sum()) / remaining_weight
+            rho = min(max(rho, 0.0), 1.0)
+        else:
+            rho = 0.0
+        alpha = _thin(alpha, rho)
+        collided_mass = float((degrees[2:] * alpha[2:]).sum())
+        bracket = collided_mass * ns / (total * (1.0 - l / nu))
+        p_raw = bracket * beta + p * (1.0 - beta)
+        if p_raw >= p - epsilon:
+            break  # no progress: the recursion reached its fixpoint
+        p = _clamp_unit(p_raw, "p")
+        u_prev = u_now
+        q_prev = q
+        l += 1
+        if l >= nu:
+            break
+
+    final_q = states[-1].q
+    return DETrace(
+        states=tuple(states),
+        predicted_plr=final_q,
+        converged_to_zero=final_q < epsilon,
+    )
+
+
+def de_predicted_plr(config: SystemConfig, epsilon: float = EPSILON) -> float:
+    """Limit non-decode probability predicted by the recursion."""
+    return de_iterate(config, epsilon=epsilon).predicted_plr
+
+
+def _to_histogram(alpha: np.ndarray) -> SlotDegreeHistogram:
+    return SlotDegreeHistogram(
+        alpha={int(d): float(a) for d, a in enumerate(alpha) if a > 0.0}
+    )

@@ -1,0 +1,204 @@
+"""Slotted-frame system model: user codes, random burst placement, slot occupancy.
+
+A frame is a block of ``ns`` time slots. Each user cuts its payload into ``n``
+bursts and transmits them on ``n`` distinct, uniformly chosen slots of the
+frame. A slot holding two or more bursts is a collision and every burst in it
+is lost; a user is recoverable once at least ``k`` of its bursts sit alone in
+their slots (possibly after interference cancellation, see ``decoder``).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+_MAX_SEED = 2**64
+
+
+@dataclass(frozen=True)
+class UserCode:
+    """Access-code parameters of one user.
+
+    ``n`` is the number of bursts sent per frame, ``k`` the number of clean
+    (collision-free) bursts needed to recover the whole payload.
+    """
+
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"burst count n must be >= 1, got {self.n}")
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"need 1 <= k <= n, got (n={self.n}, k={self.k})")
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """One experiment setup: frame size, user population, and RNG seed."""
+
+    ns: int
+    users: tuple[UserCode, ...]
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "users", tuple(self.users))
+        if self.ns < 1:
+            raise ValueError(f"frame size ns must be >= 1, got {self.ns}")
+        if not self.users:
+            raise ValueError("user list is empty")
+        for u in self.users:
+            if u.n > self.ns:
+                raise ValueError(
+                    f"burst count n={u.n} exceeds frame size ns={self.ns}"
+                )
+        if not 0 <= self.seed < _MAX_SEED:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+
+    @property
+    def n_users(self) -> int:
+        return len(self.users)
+
+    @property
+    def total_bursts(self) -> int:
+        """Bursts transmitted per frame, summed over users."""
+        return sum(u.n for u in self.users)
+
+    @property
+    def total_payload(self) -> int:
+        """Decoded-payload bursts per frame when every user is recovered."""
+        return sum(u.k for u in self.users)
+
+    @property
+    def max_slot_degree(self) -> int:
+        """Largest possible number of bursts in one slot (one per user)."""
+        return self.n_users
+
+    def burst_counts(self) -> np.ndarray:
+        return np.array([u.n for u in self.users], dtype=np.int64)
+
+    def thresholds(self) -> np.ndarray:
+        return np.array([u.k for u in self.users], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class FramePlacement:
+    """Assignment of every user's bursts to slots of one frame.
+
+    ``slots_of_user[i]`` is the sorted array of distinct slot indices used by
+    user ``i``; ``degree_of_slot[s]`` counts the bursts in slot ``s``. Values
+    are immutable by convention: nothing in this package mutates a placement
+    after construction.
+    """
+
+    ns: int
+    slots_of_user: tuple[np.ndarray, ...]
+    degree_of_slot: np.ndarray = field(repr=False)
+
+    @property
+    def total_bursts(self) -> int:
+        return int(sum(s.size for s in self.slots_of_user))
+
+
+@dataclass(frozen=True)
+class SlotDegreeHistogram:
+    """Fraction of slots holding d bursts, for each occurring degree d.
+
+    All ``ns`` slots count in the denominator, empty slots included, so the
+    fractions sum to one. ``counts`` carries the exact per-degree slot counts
+    when the histogram was measured on a placement (it is None for analytic
+    histograms).
+    """
+
+    alpha: dict[int, float]
+    counts: dict[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        total = sum(self.alpha.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"degree fractions must sum to 1, got {total!r}")
+
+    def as_array(self, max_degree: int | None = None) -> np.ndarray:
+        """Dense fraction vector indexed by degree 0..max_degree."""
+        top = max(self.alpha) if self.alpha else 0
+        if max_degree is None:
+            max_degree = top
+        elif max_degree < top:
+            raise ValueError(f"max_degree {max_degree} < largest degree {top}")
+        out = np.zeros(max_degree + 1)
+        for d, a in self.alpha.items():
+            out[d] = a
+        return out
+
+
+def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
+    """Random stream for one frame, a pure function of (seed, frame_index).
+
+    Streams for distinct frame indices are independent, so frames can be
+    generated in any order or on any number of workers without changing the
+    result.
+    """
+    if frame_index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
+    return np.random.default_rng([seed, frame_index])
+
+
+def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
+    """Draw every user's burst slots for one frame.
+
+    Each user independently occupies a uniformly random n-subset of the ns
+    slots. Users with equal n are sampled in one batched draw; rows with a
+    repeated slot are redrawn, which leaves the subset distribution uniform.
+    """
+    ns = config.ns
+    n_arr = config.burst_counts()
+    rng = frame_rng(config.seed, frame_index)
+    out: list[np.ndarray | None] = [None] * n_arr.size
+    for n in np.unique(n_arr):
+        n = int(n)
+        group = np.flatnonzero(n_arr == n)
+        if n > ns // 2:
+            # dense occupancy: partial-shuffle draw beats rejection
+            for i in group:
+                out[i] = np.sort(rng.choice(ns, size=n, replace=False))
+            continue
+        rows = np.sort(rng.integers(0, ns, size=(group.size, n)), axis=1)
+        if n > 1:
+            while True:
+                bad = (np.diff(rows, axis=1) == 0).any(axis=1)
+                n_bad = int(bad.sum())
+                if n_bad == 0:
+                    break
+                rows[bad] = np.sort(rng.integers(0, ns, size=(n_bad, n)), axis=1)
+        for j, i in enumerate(group):
+            out[i] = rows[j]
+    slots = tuple(out)
+    degree = np.bincount(np.concatenate(slots), minlength=ns)
+    return FramePlacement(ns=ns, slots_of_user=slots, degree_of_slot=degree)
+
+
+def degree_histogram(placement: FramePlacement) -> SlotDegreeHistogram:
+    """Measure the slot-degree distribution of a placement."""
+    counts = np.bincount(placement.degree_of_slot)
+    ns = placement.ns
+    alpha = {int(d): int(c) / ns for d, c in enumerate(counts) if c}
+    exact = {int(d): int(c) for d, c in enumerate(counts) if c}
+    return SlotDegreeHistogram(alpha=alpha, counts=exact)
+
+
+def expected_initial_histogram(config: SystemConfig) -> SlotDegreeHistogram:
+    """Exact expected slot-degree distribution under the placement model.
+
+    A slot's degree is a sum of independent Bernoulli(n_i / ns) indicators,
+    one per user, i.e. Poisson-binomial; the distribution is built by dynamic
+    programming over users.
+    """
+    nu = config.n_users
+    dist = np.zeros(nu + 1)
+    dist[0] = 1.0
+    for u in config.users:
+        pr = u.n / config.ns
+        dist[1:] = dist[1:] * (1.0 - pr) + dist[:-1] * pr
+        dist[0] *= 1.0 - pr
+    alpha = {int(d): float(a) for d, a in enumerate(dist) if a > 0.0}
+    return SlotDegreeHistogram(alpha=alpha)

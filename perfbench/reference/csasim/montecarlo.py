@@ -1,0 +1,276 @@
+"""Monte Carlo harness: per-frame metrics, trial aggregation, load sweeps.
+
+Frames are mutually independent and derive their randomness from
+(seed, frame_index) only, so trials can run on any number of workers.
+Workers fill disjoint index ranges of one result array and the statistics
+are reduced over that array in index order, which makes aggregates
+bit-identical no matter how the work was split.
+"""
+from __future__ import annotations
+
+import logging
+import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .decoder import DecodeTrace, _peel, decode_frame
+from .model import SystemConfig, UserCode, place_frame
+
+logger = logging.getLogger(__name__)
+
+Mixture = Sequence[tuple[UserCode, float]]
+
+
+@dataclass(frozen=True)
+class TrialAggregate:
+    """Averaged metrics of many independently simulated frames.
+
+    ``t_ci95`` and ``plr_ci95`` are half-widths of normal-approximation 95%
+    confidence intervals; ``mean_rounds`` is the average number of productive
+    decoder rounds per frame.
+    """
+
+    frames: int
+    g: float
+    t_mean: float
+    plr_mean: float
+    t_ci95: float
+    plr_ci95: float
+    mean_rounds: float
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One load point of a sweep: realized load plus its aggregate."""
+
+    g: float
+    ns: int
+    n_label: str
+    k_label: str
+    seed: int
+    aggregate: TrialAggregate
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    points: tuple[SweepPoint, ...]
+    argmax_g: float
+    t_max: float
+    skipped: tuple[tuple[float, str], ...] = ()
+
+
+@dataclass(frozen=True)
+class BaselineCurve:
+    """Analytic Aloha throughput curve on a load grid."""
+
+    variant: str
+    points: tuple[tuple[float, float], ...]
+
+
+def normalized_load(config: SystemConfig) -> float:
+    """Offered decoded-payload bursts per slot, sum(k_i) / ns."""
+    return config.total_payload / config.ns
+
+
+def frame_metrics(config: SystemConfig, trace: DecodeTrace) -> tuple[float, float]:
+    """(throughput, packet loss ratio) realized by one decoded frame.
+
+    Throughput counts the payload bursts of decoded users per slot; the loss
+    ratio is the fraction of users whose whole block stayed undecoded.
+    """
+    payload = sum(config.users[i].k for i in trace.decoded_users)
+    plr = 1.0 - len(trace.decoded_users) / config.n_users
+    return payload / config.ns, plr
+
+
+def _simulate_range(
+    config: SystemConfig, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate frame indices [start, stop); returns (t, plr, rounds) arrays."""
+    k_arr = config.thresholds()
+    nu = config.n_users
+    ns = config.ns
+    count = stop - start
+    t = np.empty(count)
+    plr = np.empty(count)
+    rounds = np.empty(count)
+    for j in range(count):
+        placement = place_frame(config, start + j)
+        undecoded, _, _, n_rounds = _peel(config, placement, record=False)
+        t[j] = int(k_arr[~undecoded].sum()) / ns
+        plr[j] = int(undecoded.sum()) / nu
+        rounds[j] = n_rounds
+    return t, plr, rounds
+
+
+def run_trials(config: SystemConfig, frames: int, workers: int = 1) -> TrialAggregate:
+    """Average frame metrics over ``frames`` independent placements."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    if workers <= 1 or frames == 1:
+        t, plr, rounds = _simulate_range(config, 0, frames)
+    else:
+        bounds = np.linspace(0, frames, num=min(workers, frames) + 1, dtype=int)
+        starts, stops = bounds[:-1], bounds[1:]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_simulate_range, [config] * starts.size, starts, stops))
+        # chunks are keyed by frame index, so concatenation reproduces the
+        # single-pass arrays bit for bit
+        t = np.concatenate([p[0] for p in parts])
+        plr = np.concatenate([p[1] for p in parts])
+        rounds = np.concatenate([p[2] for p in parts])
+
+    def half_width(x: np.ndarray) -> float:
+        if frames < 2:
+            return 0.0
+        return 1.96 * float(np.std(x, ddof=1)) / math.sqrt(frames)
+
+    return TrialAggregate(
+        frames=frames,
+        g=normalized_load(config),
+        t_mean=float(np.mean(t)),
+        plr_mean=float(np.mean(plr)),
+        t_ci95=half_width(t),
+        plr_ci95=half_width(plr),
+        mean_rounds=float(np.mean(rounds)),
+    )
+
+
+def _as_mixture(template: UserCode | Mixture) -> list[tuple[UserCode, float]]:
+    if isinstance(template, UserCode):
+        return [(template, 1.0)]
+    mixture = [(code, float(weight)) for code, weight in template]
+    if not mixture or any(w <= 0 for _, w in mixture):
+        raise ValueError("mixture weights must be positive and non-empty")
+    return mixture
+
+
+def _apportion(weights: Sequence[float], total: int) -> list[int]:
+    """Largest-remainder rounding of ``total`` into integer shares."""
+    scale = sum(weights)
+    quotas = [w / scale * total for w in weights]
+    counts = [int(math.floor(q)) for q in quotas]
+    order = sorted(range(len(weights)), key=lambda i: (counts[i] - quotas[i], i))
+    for i in order[: total - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
+def users_for_load(
+    template: UserCode | Mixture, ns: int, g: float
+) -> tuple[UserCode, ...] | None:
+    """User population realizing load g as closely as integer counts allow.
+
+    The user count is round(ns * g / mean k); returns None when that count
+    is below one, i.e. the load is not realizable at this frame size.
+    """
+    mixture = _as_mixture(template)
+    k_mean = sum(w * c.k for c, w in mixture) / sum(w for _, w in mixture)
+    nu = round(ns * g / k_mean)
+    if nu < 1:
+        return None
+    counts = _apportion([w for _, w in mixture], nu)
+    users: list[UserCode] = []
+    for (code, _), count in zip(mixture, counts):
+        users.extend([code] * count)
+    return tuple(users)
+
+
+def sweep_load(
+    template: UserCode | Mixture,
+    ns: int,
+    g_values: Sequence[float],
+    frames: int,
+    seed: int = 0,
+    workers: int = 1,
+) -> SweepResult:
+    """Run one trial aggregate per requested load and locate the throughput peak.
+
+    Unrealizable loads are skipped with a warning record; reported loads are
+    the realized sum(k_i) / ns, not the requested grid values.
+    """
+    mixture = _as_mixture(template)
+    n_label = ";".join(str(code.n) for code, _ in mixture)
+    k_label = ";".join(str(code.k) for code, _ in mixture)
+
+    points: list[SweepPoint] = []
+    skipped: list[tuple[float, str]] = []
+    for g in g_values:
+        users = users_for_load(template, ns, g)
+        if users is None:
+            skipped.append((g, "load too small for one user"))
+            logger.warning("skipping G=%g: load too small for one user", g)
+            continue
+        try:
+            config = SystemConfig(ns=ns, users=users, seed=seed)
+        except ValueError as exc:
+            skipped.append((g, str(exc)))
+            logger.warning("skipping G=%g: %s", g, exc)
+            continue
+        aggregate = run_trials(config, frames, workers=workers)
+        points.append(
+            SweepPoint(
+                g=normalized_load(config),
+                ns=ns,
+                n_label=n_label,
+                k_label=k_label,
+                seed=seed,
+                aggregate=aggregate,
+            )
+        )
+    if not points:
+        raise ValueError("no realizable load values in sweep")
+    points.sort(key=lambda pt: pt.g)
+    best = max(points, key=lambda pt: pt.aggregate.t_mean)
+    return SweepResult(
+        points=tuple(points),
+        argmax_g=best.g,
+        t_max=best.aggregate.t_mean,
+        skipped=tuple(skipped),
+    )
+
+
+def aloha_baseline(g: float, variant: str) -> float:
+    """Closed-form Aloha throughput at load g: G e^-G slotted, G e^-2G pure."""
+    if g < 0:
+        raise ValueError(f"load must be >= 0, got {g}")
+    if variant == "slotted":
+        return g * math.exp(-g)
+    if variant == "pure":
+        return g * math.exp(-2.0 * g)
+    raise ValueError(f"unknown baseline variant {variant!r}")
+
+
+def baseline_curve(g_values: Sequence[float], variant: str) -> BaselineCurve:
+    return BaselineCurve(
+        variant=variant,
+        points=tuple((float(g), aloha_baseline(g, variant)) for g in g_values),
+    )
+
+
+def empirical_round_curves(
+    config: SystemConfig, frames: int, num_rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round Monte Carlo means of the decoder's (p, q) statistics.
+
+    Frames whose decoding ends before ``num_rounds`` contribute their
+    fixpoint values to the later rounds, mirroring a decoder that keeps
+    iterating without progress.
+    """
+    p_sum = np.zeros(num_rounds)
+    q_sum = np.zeros(num_rounds)
+    nu = config.n_users
+    for frame_index in range(frames):
+        trace = decode_frame(config, place_frame(config, frame_index))
+        final_q = 1.0 - len(trace.decoded_users) / nu
+        for l in range(num_rounds):
+            if l < len(trace.rounds):
+                p_sum[l] += trace.rounds[l].p_empirical
+                q_sum[l] += trace.rounds[l].q_empirical
+            else:
+                p_sum[l] += trace.final_p
+                q_sum[l] += final_q
+    return p_sum / frames, q_sum / frames
