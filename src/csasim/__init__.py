@@ -20,6 +20,7 @@ from .density import (
 )
 from .model import (
     FramePlacement,
+    InternalError,
     SlotDegreeHistogram,
     SystemConfig,
     UserCode,
@@ -52,6 +53,7 @@ __all__ = [
     "DETrace",
     "DecodeTrace",
     "FramePlacement",
+    "InternalError",
     "RoundRecord",
     "SlotDegreeHistogram",
     "SweepPoint",

@@ -11,6 +11,10 @@ Subcommands:
 Load grids are START:STOP:STEP (inclusive) or a comma-separated list. All
 behaviour is controlled by flags; environment variables are ignored so a
 command line fully reproduces a result.
+
+Exit status: 0 on success, 1 on bad input or an I/O error (one ``error:``
+line on stderr), 2 on a usage error (argparse), 3 on an internal error, i.e.
+a bug (one ``error: internal:`` line).
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .configfile import ConfigError, parse_config
 from .csvio import emit_csv
 from .decoder import decode_frame
 from .density import de_iterate
-from .model import SystemConfig, UserCode, place_frame
+from .model import InternalError, SystemConfig, place_frame
 from .montecarlo import (
     SweepPoint,
     SweepResult,
@@ -113,6 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> RunSpec:
     args = build_parser().parse_args(argv)
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     return RunSpec(
         command=args.command,
         out=args.out,
@@ -122,12 +129,13 @@ def parse_args(argv: list[str]) -> RunSpec:
         g_list=parse_g_spec(args.g) if getattr(args, "g", None) else None,
         frame_index=getattr(args, "frame_index", None),
         variant=getattr(args, "variant", None),
-        workers=getattr(args, "workers", 1),
+        workers=workers,
     )
 
 
 def _load_config(spec: RunSpec) -> SystemConfig:
-    assert spec.config_path is not None
+    if spec.config_path is None:
+        raise InternalError(f"{spec.command} reached config loading without --config")
     with open(spec.config_path) as handle:
         config = parse_config(handle.read())
     if spec.seed is not None:
@@ -135,23 +143,16 @@ def _load_config(spec: RunSpec) -> SystemConfig:
     return config
 
 
-def _mixture_from_config(config: SystemConfig) -> list[tuple[UserCode, float]]:
-    counts: dict[UserCode, int] = {}
-    for user in config.users:
-        counts[user] = counts.get(user, 0) + 1
-    return [(code, float(count)) for code, count in counts.items()]
-
-
 def run(spec: RunSpec) -> None:
     if spec.command == "simulate":
         config = _load_config(spec)
         aggregate = run_trials(config, spec.frames, workers=spec.workers)
-        mixture = _mixture_from_config(config)
+        codes = config.code_groups
         point = SweepPoint(
             g=normalized_load(config),
             ns=config.ns,
-            n_label=";".join(str(c.n) for c, _ in mixture),
-            k_label=";".join(str(c.k) for c, _ in mixture),
+            n_label=";".join(str(c.n) for c, _ in codes),
+            k_label=";".join(str(c.k) for c, _ in codes),
             seed=config.seed,
             aggregate=aggregate,
         )
@@ -162,7 +163,7 @@ def run(spec: RunSpec) -> None:
     elif spec.command == "sweep":
         config = _load_config(spec)
         result = sweep_load(
-            _mixture_from_config(config),
+            config.code_groups,
             config.ns,
             spec.g_list,
             spec.frames,
@@ -192,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

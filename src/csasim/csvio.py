@@ -13,6 +13,7 @@ inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -77,13 +78,25 @@ def emit_csv(
     result: SweepResult | DETrace | DecodeTrace | BaselineCurve,
     sink: str | os.PathLike[str] | IO[str],
 ) -> None:
-    """Write a result to a path or text stream in its fixed schema."""
+    """Write a result to a path or text stream in its fixed schema.
+
+    A path is written atomically: the rows go to a temporary file in the same
+    directory, which then replaces the path, so a failed write leaves any
+    earlier file at that path intact.
+    """
     header, rows = _rows(result)
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            _write(handle, header, rows)
-    else:
+    if not isinstance(sink, (str, os.PathLike)):
         _write(sink, header, rows)
+        return
+    tmp = f"{os.fspath(sink)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as handle:
+            _write(handle, header, rows)
+        os.replace(tmp, sink)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write(handle: IO[str], header: list[str], rows: list[list[Any]]) -> None:

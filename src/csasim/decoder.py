@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FramePlacement, SystemConfig
+from .model import FramePlacement, InternalError, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def _peel(
                 )
             )
         n_rounds += 1
-        assert n_rounds <= nu, "peeling must terminate within n_users rounds"
+        if n_rounds > nu:
+            raise InternalError(f"peeling ran {n_rounds} rounds for {nu} users")
 
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:

@@ -11,11 +11,15 @@ tracked by a recursion under an independence assumption:
   average of complementary binomial tails over the user population.
 * ``beta_l`` - conditional probability that a still-undecoded user decodes
   at round l, taken as the relative drop of Q.
-* The slot-degree distribution is updated by binomial thinning with the
-  fraction of remaining bursts removed in the round, and the next erasure
-  probability blends the resulting collided fraction with the previous one,
-  weighted by beta and re-normalised by the linear remaining-burst factor
-  (1 - l / n_users).
+* A slot's degree is Poisson-binomial: a user of code (n, k) occupies it
+  with probability n / ns. Removing each burst independently with the
+  fraction ``rho_l`` of remaining bursts decoded in round l keeps it
+  Poisson-binomial, with every occupancy probability scaled by the survival
+  factor ``s = prod(1 - rho_l)``. The recursion carries only ``s`` and takes
+  the collided mass of the thinned degree in closed form (``_collided_mass``).
+  The next erasure probability blends the resulting collided fraction with
+  the previous one, weighted by beta and re-normalised by the linear
+  remaining-burst factor (1 - l / n_users).
 
 The recursion halts once Q reaches (numerical) zero, once P stops making
 progress (a deadlock fixpoint), or after n_users rounds. Progress-halting
@@ -25,13 +29,18 @@ remaining-burst factor undershoots the actual remaining population.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .model import SlotDegreeHistogram, SystemConfig, UserCode, expected_initial_histogram
+from .model import (
+    InternalError,
+    SlotDegreeHistogram,
+    SystemConfig,
+    UserCode,
+    expected_initial_histogram,
+)
 
 EPSILON = 1e-9
 _BAND = 1e-9  # tolerance for float dust around [0, 1] before clamping
@@ -45,7 +54,6 @@ class DEState:
     p: float
     q: float
     beta: float
-    alpha: SlotDegreeHistogram
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ def _log_binom(n, k):
 def _clamp_unit(value: float, what: str) -> float:
     """Clamp float dust into [0, 1]; anything beyond dust is a genuine bug."""
     if not -_BAND <= value <= 1.0 + _BAND:
-        raise AssertionError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
+        raise InternalError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
 
 
@@ -88,8 +96,7 @@ def decode_probability(code: UserCode, p: float) -> float:
 
 def system_q(config: SystemConfig, p: float) -> float:
     """Population-average non-decode probability at erasure rate p."""
-    groups = Counter(config.users)
-    acc = sum(count * decode_probability(code, p) for code, count in groups.items())
+    acc = sum(count * decode_probability(code, p) for code, count in config.code_groups)
     return _clamp_unit(1.0 - acc / config.n_users, "system q")
 
 
@@ -110,28 +117,26 @@ def initial_erasure_probability(
     return collided_mass * ns / total_bursts
 
 
-def _thin(alpha: np.ndarray, rho: float) -> np.ndarray:
-    """Remove each burst independently with probability rho.
+def _collided_mass(config: SystemConfig, survival: float) -> float:
+    """Expected bursts per slot in collided slots once each burst survives
+    independently with probability ``survival``.
 
-    Maps a degree-d slot to degree d' with binomial weight
-    C(d, d') (1-rho)^d' rho^(d-d'), evaluated in log space.
+    A user of code group g (``c_g`` users of n_g bursts) occupies a slot with
+    ``q_g = (n_g / ns) * survival``, and its burst there collides unless every
+    other user leaves the slot empty:
+
+        sum_g c_g q_g (1 - prod_h (1 - q_h) ** (c_h - [h = g]))
+
+    The leave-one-out product never divides by 1 - q_g, which is zero when a
+    code spans the whole frame (n = ns).
     """
-    if rho <= 0.0:
-        return alpha
-    if rho >= 1.0:
-        out = np.zeros_like(alpha)
-        out[0] = alpha.sum()
-        return out
-    d = np.arange(alpha.size)
-    new_d, old_d = np.meshgrid(d, d, indexing="ij")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = (
-            _log_binom(old_d, new_d)
-            + new_d * np.log1p(-rho)
-            + (old_d - new_d) * np.log(rho)
-        )
-    weights = np.where(new_d <= old_d, np.exp(log_w), 0.0)
-    return weights @ alpha
+    codes = config.code_groups
+    counts = np.array([count for _, count in codes], dtype=float)
+    q = np.array([code.n for code, _ in codes], dtype=float) / config.ns * survival
+    others = counts - np.eye(counts.size)  # row g holds c_h - [h = g]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) = -inf
+        log_empty = np.where(others > 0, others * np.log1p(-q), 0.0).sum(axis=1)
+    return float((counts * q * -np.expm1(log_empty)).sum())
 
 
 def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
@@ -143,33 +148,32 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
     nu = config.n_users
     ns = config.ns
     total = config.total_bursts
-    groups = list(Counter(config.users).items())
-    n_vec = np.array([code.n for code, _ in groups], dtype=float)
-    count_vec = np.array([count for _, count in groups], dtype=float)
+    codes = config.code_groups
+    n_vec = np.array([code.n for code, _ in codes], dtype=float)
+    count_vec = np.array([count for _, count in codes], dtype=float)
 
-    degrees = np.arange(nu + 1, dtype=float)
     initial = expected_initial_histogram(config)
-    alpha = initial.as_array(nu)
     p = _clamp_unit(
         initial_erasure_probability(initial, ns, total),
         "initial erasure probability",
     )
-    u_prev = np.ones(len(groups))
+    survival = 1.0
+    u_prev = np.ones(len(codes))
     q_prev = 1.0
     states: list[DEState] = []
     l = 0
     while True:
-        qbar = np.array([decode_probability(code, p) for code, _ in groups])
+        qbar = np.array([decode_probability(code, p) for code, _ in codes])
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
-            raise AssertionError(f"q increased from {q_prev!r} to {q!r}")
+            raise InternalError(f"q increased from {q_prev!r} to {q!r}")
         if q_prev <= epsilon:
             beta = 0.0
         else:
             # numerator floored at zero so float dust in q cannot leak into
             # beta through the 1/q_prev amplification
             beta = min(max(q_prev - q, 0.0) / q_prev, 1.0)
-        states.append(DEState(l=l, p=p, q=q, beta=beta, alpha=_to_histogram(alpha)))
+        states.append(DEState(l=l, p=p, q=q, beta=beta))
         if q < epsilon:
             break
 
@@ -182,9 +186,8 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
             rho = min(max(rho, 0.0), 1.0)
         else:
             rho = 0.0
-        alpha = _thin(alpha, rho)
-        collided_mass = float((degrees[2:] * alpha[2:]).sum())
-        bracket = collided_mass * ns / (total * (1.0 - l / nu))
+        survival *= 1.0 - rho
+        bracket = _collided_mass(config, survival) * ns / (total * (1.0 - l / nu))
         p_raw = bracket * beta + p * (1.0 - beta)
         if p_raw >= p - epsilon:
             break  # no progress: the recursion reached its fixpoint
@@ -207,8 +210,3 @@ def de_predicted_plr(config: SystemConfig, epsilon: float = EPSILON) -> float:
     """Limit non-decode probability predicted by the recursion."""
     return de_iterate(config, epsilon=epsilon).predicted_plr
 
-
-def _to_histogram(alpha: np.ndarray) -> SlotDegreeHistogram:
-    return SlotDegreeHistogram(
-        alpha={int(d): float(a) for d, a in enumerate(alpha) if a > 0.0}
-    )

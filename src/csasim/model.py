@@ -8,11 +8,17 @@ their slots (possibly after interference cancellation, see ``decoder``).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 _MAX_SEED = 2**64
+
+
+class InternalError(RuntimeError):
+    """A package invariant failed: a bug in csasim, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,10 @@ class SystemConfig:
         """Decoded-payload bursts per frame when every user is recovered."""
         return sum(u.k for u in self.users)
 
-    @property
-    def max_slot_degree(self) -> int:
-        """Largest possible number of bursts in one slot (one per user)."""
-        return self.n_users
+    @cached_property
+    def code_groups(self) -> tuple[tuple[UserCode, int], ...]:
+        """Distinct user codes with their user counts, in first-occurrence order."""
+        return tuple(Counter(self.users).items())
 
     def burst_counts(self) -> np.ndarray:
         return np.array([u.n for u in self.users], dtype=np.int64)

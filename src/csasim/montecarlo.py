@@ -115,7 +115,7 @@ def run_trials(config: SystemConfig, frames: int, workers: int = 1) -> TrialAggr
     else:
         bounds = np.linspace(0, frames, num=min(workers, frames) + 1, dtype=int)
         starts, stops = bounds[:-1], bounds[1:]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=starts.size) as pool:
             parts = list(pool.map(_simulate_range, [config] * starts.size, starts, stops))
         # chunks are keyed by frame index, so concatenation reproduces the
         # single-pass arrays bit for bit

@@ -7,6 +7,7 @@ checks itself.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -81,6 +82,32 @@ def binomial_tail_by_enumeration(n: int, k: int, p: float) -> float:
         if survivors >= k:
             total += (1.0 - p) ** survivors * p ** (n - survivors)
     return total
+
+
+def collided_mass_by_thinning(
+    ns: int, users: list[UserCode], survival: float
+) -> float:
+    """Collided bursts per slot after each burst survives w.p. ``survival``.
+
+    Builds the slot-degree law by a Poisson-binomial DP over users, thins it
+    with explicit binomial sums, and sums d * P(D = d) over d >= 2.
+    """
+    dist = [1.0]
+    for user in users:
+        pr = user.n / ns
+        grown = [0.0] * (len(dist) + 1)
+        for d, mass in enumerate(dist):
+            grown[d] += mass * (1.0 - pr)
+            grown[d + 1] += mass * pr
+        dist = grown
+    thinned = [
+        sum(
+            dist[d] * math.comb(d, e) * survival**e * (1.0 - survival) ** (d - e)
+            for d in range(e, len(dist))
+        )
+        for e in range(len(dist))
+    ]
+    return sum(e * mass for e, mass in enumerate(thinned) if e >= 2)
 
 
 def random_instance(

@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from csasim import (
     ConfigError,
+    InternalError,
     SystemConfig,
     UserCode,
     parse_config,
     render_config,
     render_csv,
 )
+from csasim import cli, csvio
 from csasim.cli import main, parse_g_spec
 from csasim.csvio import BASELINE_HEADER, DE_HEADER, SWEEP_HEADER, TRACE_HEADER
 
@@ -245,6 +251,147 @@ class TestCommandLine:
         )
         assert code == 1
         assert "load grid" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_rejects_workers_below_one(self, tmp_path, config_file, capsys, workers):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate",
+                "--config",
+                str(config_file),
+                "--frames",
+                "2",
+                "--workers",
+                workers,
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not out.exists()
+
+    def test_internal_error_exits_3_with_one_line(
+        self, tmp_path, config_file, capsys, monkeypatch
+    ):
+        def broken(config):
+            raise InternalError("q increased from 0.1 to 0.2")
+
+        monkeypatch.setattr(cli, "de_iterate", broken)
+        code = main(
+            ["de", "--config", str(config_file), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: internal: q increased from 0.1 to 0.2\n"
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, config_file, monkeypatch):
+        out = tmp_path / "de.csv"
+        assert main(["de", "--config", str(config_file), "--out", str(out)]) == 0
+        before = out.read_bytes()
+        write = csvio._write
+
+        def fail_partway(handle, header, rows):
+            write(handle, header, rows[:1])
+            handle.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csvio, "_write", fail_partway)
+        code = main(
+            [
+                "sweep",
+                "--config",
+                str(config_file),
+                "--g",
+                "0.2,0.4",
+                "--frames",
+                "5",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["de.csv", "exp.cfg"]
+
+
+# exact `de` output (config text, CSV text) for the AC-4 config and the
+# three benchmark configs; the same numbers come from dense histogram
+# thinning, which the closed-form recursion must reproduce byte for byte
+DE_PINNED = {
+    "ac4": (
+        "ns=100\nusers=10x(5,2)\n",
+        """\
+l,p,q,beta
+0,0.369751,0.0658114,0.934189
+1,0.0261308,2.28247e-06,0.999965
+2,9.06268e-07,0,1
+""",
+    ),
+    "mc-peak": (
+        "ns=400\nusers=302x(3,1)\n",
+        """\
+l,p,q,beta
+0,0.896275,0.719985,0.280015
+1,0.807401,0.526342,0.268954
+2,0.689094,0.327217,0.378318
+3,0.493535,0.120213,0.632619
+4,0.199579,0.00794955,0.933871
+5,0.0133317,2.36949e-06,0.999702
+6,3.97374e-06,0,1
+""",
+    ),
+    "mc-sweep": (
+        "ns=400\nusers=2x(4,2) 3x(2,1)\n",
+        """\
+l,p,q,beta
+0,0.0268761,0.000463831,0.999536
+1,1.24694e-05,9.32943e-11,1
+""",
+    ),
+    "de-large": (
+        "ns=2667\nusers=2000x(3,1)\n",
+        """\
+l,p,q,beta
+0,0.894586,0.715923,0.284077
+1,0.803198,0.518165,0.276227
+2,0.679889,0.314278,0.393478
+3,0.4751,0.10724,0.658775
+4,0.177277,0.0055713,0.948048
+5,0.00927575,7.9808e-07,0.999857
+6,1.32874e-06,0,1
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DE_PINNED))
+def test_de_output_bytes_pinned(tmp_path, name):
+    config_text, csv_text = DE_PINNED[name]
+    path = tmp_path / "exp.cfg"
+    path.write_text(config_text)
+    out = tmp_path / "de.csv"
+    assert main(["de", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == csv_text.encode()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import, several times the rest of
+    # the command line's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, csasim.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestCsvFormatting:

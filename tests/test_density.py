@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -19,8 +19,13 @@ from csasim import (
     run_trials,
     system_q,
 )
-from csasim.density import _thin
-from helpers import binomial_tail_by_enumeration, make_placement, random_instance
+from csasim.density import _collided_mass
+from helpers import (
+    binomial_tail_by_enumeration,
+    collided_mass_by_thinning,
+    make_placement,
+    random_instance,
+)
 
 
 def homogeneous(ns, n, k, count, seed=0):
@@ -102,27 +107,39 @@ class TestInitialErasureIdentity:
             assert via_hist == empirical_p0(placement)
 
 
-class TestThinning:
-    @given(st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-    @settings(max_examples=150, deadline=None)
-    def test_preserves_mass_and_range(self, rho, raw):
-        total = sum(raw)
-        if total == 0.0:
-            raw[0] = 1.0
-            total = 1.0
-        alpha = np.array(raw) / total
-        thinned = _thin(alpha, rho)
-        assert thinned.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (thinned >= -1e-12).all()
+class TestCollidedMass:
+    """Closed-form collided mass against a dense thinned degree law."""
 
-    def test_mean_degree_scales_by_survival(self):
-        alpha = np.array([0.2, 0.3, 0.4, 0.1])
-        d = np.arange(4)
-        for rho in (0.0, 0.25, 0.7, 1.0):
-            thinned = _thin(alpha, rho)
-            assert (d * thinned).sum() == pytest.approx(
-                (1 - rho) * (d * alpha).sum(), abs=1e-12
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda ns: st.tuples(
+                st.just(ns),
+                st.lists(
+                    st.tuples(st.integers(1, ns), st.integers(1, 6)),
+                    min_size=1,
+                    max_size=4,
+                ),
             )
+        ),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example((5, [(5, 3)]), 1.0)  # every user fills the frame: q = 1
+    @example((5, [(5, 1), (2, 2)]), 1.0)  # one full-frame user among others
+    @example((5, [(5, 2), (3, 4)]), 0.0)
+    @example((9, [(7, 3), (5, 2), (9, 1)]), 0.37)  # dense n > ns / 2
+    @example((1, [(1, 1)]), 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_thinned_poisson_binomial(self, frame, survival):
+        ns, groups = frame
+        users = [UserCode(n, 1) for n, count in groups for _ in range(count)]
+        config = SystemConfig(ns=ns, users=tuple(users))
+        want = collided_mass_by_thinning(ns, users, survival)
+        assert _collided_mass(config, survival) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_no_survivors_no_collisions(self):
+        config = homogeneous(4, 4, 1, 3)
+        assert _collided_mass(config, 0.0) == 0.0
+        assert _collided_mass(config, 1.0) == 3.0
 
 
 class TestDeIterate:
@@ -158,7 +175,6 @@ class TestDeIterate:
                 assert 0.0 <= state.p <= 1.0
                 assert 0.0 <= state.q <= 1.0
                 assert 0.0 <= state.beta <= 1.0
-                assert sum(state.alpha.alpha.values()) == pytest.approx(1, abs=1e-9)
             assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
             assert trace.predicted_plr == qs[-1]
 

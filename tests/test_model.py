@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +52,20 @@ class TestValidation:
             SystemConfig(ns=4, users=(UserCode(1, 1),), seed=-1)
         with pytest.raises(ValueError, match="seed"):
             SystemConfig(ns=4, users=(UserCode(1, 1),), seed=2**64)
+
+
+class TestCodeGroups:
+    def test_first_occurrence_order_and_counts(self):
+        a, b, c = UserCode(3, 1), UserCode(2, 1), UserCode(3, 2)
+        config = SystemConfig(ns=5, users=(b, a, b, c, a, b))
+        assert config.code_groups == ((b, 3), (a, 2), (c, 1))
+
+    def test_cached_and_not_part_of_identity(self):
+        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        assert config.code_groups is config.code_groups
+        assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        assert replace(config, seed=2).code_groups == ((UserCode(2, 1), 3),)
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestPlaceFrame:
