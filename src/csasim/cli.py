@@ -28,14 +28,7 @@ from .csvio import emit_csv
 from .decoder import decode_frame
 from .density import de_iterate
 from .model import InternalError, SystemConfig, place_frame
-from .montecarlo import (
-    SweepPoint,
-    SweepResult,
-    baseline_curve,
-    normalized_load,
-    run_trials,
-    sweep_load,
-)
+from .montecarlo import SweepResult, baseline_curve, sweep_load, sweep_point
 
 
 @dataclass(frozen=True)
@@ -146,20 +139,9 @@ def _load_config(spec: RunSpec) -> SystemConfig:
 def run(spec: RunSpec) -> None:
     if spec.command == "simulate":
         config = _load_config(spec)
-        aggregate = run_trials(config, spec.frames, workers=spec.workers)
-        codes = config.code_groups
-        point = SweepPoint(
-            g=normalized_load(config),
-            ns=config.ns,
-            n_label=";".join(str(c.n) for c, _ in codes),
-            k_label=";".join(str(c.k) for c, _ in codes),
-            seed=config.seed,
-            aggregate=aggregate,
-        )
-        emit_csv(
-            SweepResult(points=(point,), argmax_g=point.g, t_max=aggregate.t_mean),
-            spec.out,
-        )
+        codes = [code for code, _ in config.code_groups]
+        point = sweep_point(config, codes, spec.frames, spec.workers)
+        emit_csv(SweepResult(points=(point,)), spec.out)
     elif spec.command == "sweep":
         config = _load_config(spec)
         result = sweep_load(

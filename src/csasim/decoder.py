@@ -52,7 +52,7 @@ class DecodeTrace:
 
 
 def _check_consistent(config: SystemConfig, placement: FramePlacement) -> None:
-    if placement.ns != config.ns or len(placement.slots_of_user) != config.n_users:
+    if placement.ns != config.ns or placement.total_bursts != config.total_bursts:
         raise ValueError("placement does not match config")
 
 
@@ -61,10 +61,9 @@ def _peel(
 ) -> tuple[np.ndarray, list[RoundRecord], float, int]:
     """Core peeling loop; returns (undecoded mask, rounds, final_p, n_rounds)."""
     nu = config.n_users
-    n_arr = config.burst_counts()
-    k_arr = config.thresholds()
-    user_of_burst = np.repeat(np.arange(nu), n_arr)
-    slot_of_burst = np.concatenate(placement.slots_of_user)
+    k_arr = config.thresholds
+    user_of_burst = config.user_of_burst
+    slot_of_burst = placement.slot_of_burst
     total = slot_of_burst.size
     degree = placement.degree_of_slot.copy()
     undecoded = np.ones(nu, dtype=bool)

@@ -61,6 +61,10 @@ class SystemConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
+    def __getstate__(self) -> dict:
+        # fields only: the cached arrays are rebuilt, read-only, where used
+        return {"ns": self.ns, "users": self.users, "seed": self.seed}
+
     @property
     def n_users(self) -> int:
         return len(self.users)
@@ -80,30 +84,45 @@ class SystemConfig:
         """Distinct user codes with their user counts, in first-occurrence order."""
         return tuple(Counter(self.users).items())
 
+    @cached_property
     def burst_counts(self) -> np.ndarray:
-        return np.array([u.n for u in self.users], dtype=np.int64)
+        """Bursts n_i of each user, in user order (read-only)."""
+        return _read_only(np.array([u.n for u in self.users], dtype=np.int64))
 
+    @cached_property
     def thresholds(self) -> np.ndarray:
-        return np.array([u.k for u in self.users], dtype=np.int64)
+        """Clean bursts k_i each user needs, in user order (read-only)."""
+        return _read_only(np.array([u.k for u in self.users], dtype=np.int64))
+
+    @cached_property
+    def user_of_burst(self) -> np.ndarray:
+        """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
+        return _read_only(np.repeat(np.arange(self.n_users), self.burst_counts))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
 class FramePlacement:
-    """Assignment of every user's bursts to slots of one frame.
+    """Assignment of every burst of one frame to a slot.
 
-    ``slots_of_user[i]`` is the sorted array of distinct slot indices used by
-    user ``i``; ``degree_of_slot[s]`` counts the bursts in slot ``s``. Values
-    are immutable by convention: nothing in this package mutates a placement
-    after construction.
+    ``slot_of_burst`` lists the slots of all bursts, user after user in config
+    order: user ``i``'s n_i bursts follow the n_0 + ... + n_(i-1) bursts of the
+    users before it, in distinct slots sorted ascending. ``degree_of_slot[s]``
+    counts the bursts in slot ``s``. Nothing in this package mutates a
+    placement after construction.
     """
 
     ns: int
-    slots_of_user: tuple[np.ndarray, ...]
+    slot_of_burst: np.ndarray
     degree_of_slot: np.ndarray = field(repr=False)
 
     @property
     def total_bursts(self) -> int:
-        return int(sum(s.size for s in self.slots_of_user))
+        return int(self.slot_of_burst.size)
 
 
 @dataclass(frozen=True)
@@ -157,18 +176,20 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     repeated slot are redrawn, which leaves the subset distribution uniform.
     """
     ns = config.ns
-    n_arr = config.burst_counts()
+    n_arr = config.burst_counts
+    n_of_burst = n_arr[config.user_of_burst]
     rng = frame_rng(config.seed, frame_index)
-    out: list[np.ndarray | None] = [None] * n_arr.size
+    slot_of_burst = np.empty(n_of_burst.size, dtype=np.int64)
     for n in np.unique(n_arr):
         n = int(n)
-        group = np.flatnonzero(n_arr == n)
+        # burst positions of the users with n bursts, one row per user
+        at = np.flatnonzero(n_of_burst == n).reshape(-1, n)
         if n > ns // 2:
             # dense occupancy: partial-shuffle draw beats rejection
-            for i in group:
-                out[i] = np.sort(rng.choice(ns, size=n, replace=False))
+            for row in at:
+                slot_of_burst[row] = np.sort(rng.choice(ns, size=n, replace=False))
             continue
-        rows = np.sort(rng.integers(0, ns, size=(group.size, n)), axis=1)
+        rows = np.sort(rng.integers(0, ns, size=at.shape), axis=1)
         if n > 1:
             while True:
                 bad = (np.diff(rows, axis=1) == 0).any(axis=1)
@@ -176,11 +197,9 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
                 if n_bad == 0:
                     break
                 rows[bad] = np.sort(rng.integers(0, ns, size=(n_bad, n)), axis=1)
-        for j, i in enumerate(group):
-            out[i] = rows[j]
-    slots = tuple(out)
-    degree = np.bincount(np.concatenate(slots), minlength=ns)
-    return FramePlacement(ns=ns, slots_of_user=slots, degree_of_slot=degree)
+        slot_of_burst[at] = rows
+    degree = np.bincount(slot_of_burst, minlength=ns)
+    return FramePlacement(ns=ns, slot_of_burst=slot_of_burst, degree_of_slot=degree)
 
 
 def degree_histogram(placement: FramePlacement) -> SlotDegreeHistogram:

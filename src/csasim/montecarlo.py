@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .decoder import DecodeTrace, _peel, decode_frame
+from .decoder import _peel, decode_frame
 from .model import SystemConfig, UserCode, place_frame
 
 logger = logging.getLogger(__name__)
@@ -57,9 +58,16 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple[SweepPoint, ...]
-    argmax_g: float
-    t_max: float
     skipped: tuple[tuple[float, str], ...] = ()
+
+    @property
+    def argmax_g(self) -> float:
+        """Load of the first point with the largest mean throughput."""
+        return max(self.points, key=lambda pt: pt.aggregate.t_mean).g
+
+    @property
+    def t_max(self) -> float:
+        return max(pt.aggregate.t_mean for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -75,34 +83,28 @@ def normalized_load(config: SystemConfig) -> float:
     return config.total_payload / config.ns
 
 
-def frame_metrics(config: SystemConfig, trace: DecodeTrace) -> tuple[float, float]:
-    """(throughput, packet loss ratio) realized by one decoded frame.
+def frame_metrics(config: SystemConfig, undecoded: np.ndarray) -> tuple[float, float]:
+    """(throughput, packet loss ratio) of one frame from its undecoded-user mask.
 
     Throughput counts the payload bursts of decoded users per slot; the loss
     ratio is the fraction of users whose whole block stayed undecoded.
     """
-    payload = sum(config.users[i].k for i in trace.decoded_users)
-    plr = 1.0 - len(trace.decoded_users) / config.n_users
-    return payload / config.ns, plr
+    payload = int(config.thresholds[~undecoded].sum())
+    return payload / config.ns, int(undecoded.sum()) / config.n_users
 
 
 def _simulate_range(
     config: SystemConfig, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate frame indices [start, stop); returns (t, plr, rounds) arrays."""
-    k_arr = config.thresholds()
-    nu = config.n_users
-    ns = config.ns
     count = stop - start
     t = np.empty(count)
     plr = np.empty(count)
     rounds = np.empty(count)
     for j in range(count):
         placement = place_frame(config, start + j)
-        undecoded, _, _, n_rounds = _peel(config, placement, record=False)
-        t[j] = int(k_arr[~undecoded].sum()) / ns
-        plr[j] = int(undecoded.sum()) / nu
-        rounds[j] = n_rounds
+        undecoded, _, _, rounds[j] = _peel(config, placement, record=False)
+        t[j], plr[j] = frame_metrics(config, undecoded)
     return t, plr, rounds
 
 
@@ -110,18 +112,18 @@ def run_trials(config: SystemConfig, frames: int, workers: int = 1) -> TrialAggr
     """Average frame metrics over ``frames`` independent placements."""
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    if workers <= 1 or frames == 1:
+    # at most one process per CPU and per frame; the result does not depend on it
+    workers = min(workers, frames, os.cpu_count() or 1)
+    if workers <= 1:
         t, plr, rounds = _simulate_range(config, 0, frames)
     else:
-        bounds = np.linspace(0, frames, num=min(workers, frames) + 1, dtype=int)
+        bounds = np.linspace(0, frames, num=workers + 1, dtype=int)
         starts, stops = bounds[:-1], bounds[1:]
         with ProcessPoolExecutor(max_workers=starts.size) as pool:
             parts = list(pool.map(_simulate_range, [config] * starts.size, starts, stops))
         # chunks are keyed by frame index, so concatenation reproduces the
         # single-pass arrays bit for bit
-        t = np.concatenate([p[0] for p in parts])
-        plr = np.concatenate([p[1] for p in parts])
-        rounds = np.concatenate([p[2] for p in parts])
+        t, plr, rounds = (np.concatenate(arrays) for arrays in zip(*parts))
 
     def half_width(x: np.ndarray) -> float:
         if frames < 2:
@@ -179,6 +181,20 @@ def users_for_load(
     return tuple(users)
 
 
+def sweep_point(
+    config: SystemConfig, codes: Sequence[UserCode], frames: int, workers: int = 1
+) -> SweepPoint:
+    """Simulate one load point; ``codes`` name its n and k columns."""
+    return SweepPoint(
+        g=normalized_load(config),
+        ns=config.ns,
+        n_label=";".join(str(code.n) for code in codes),
+        k_label=";".join(str(code.k) for code in codes),
+        seed=config.seed,
+        aggregate=run_trials(config, frames, workers=workers),
+    )
+
+
 def sweep_load(
     template: UserCode | Mixture,
     ns: int,
@@ -192,9 +208,8 @@ def sweep_load(
     Unrealizable loads are skipped with a warning record; reported loads are
     the realized sum(k_i) / ns, not the requested grid values.
     """
-    mixture = _as_mixture(template)
-    n_label = ";".join(str(code.n) for code, _ in mixture)
-    k_label = ";".join(str(code.k) for code, _ in mixture)
+    # labels come from the mixture: a light load can apportion 0 users to a code
+    codes = [code for code, _ in _as_mixture(template)]
 
     points: list[SweepPoint] = []
     skipped: list[tuple[float, str]] = []
@@ -210,27 +225,11 @@ def sweep_load(
             skipped.append((g, str(exc)))
             logger.warning("skipping G=%g: %s", g, exc)
             continue
-        aggregate = run_trials(config, frames, workers=workers)
-        points.append(
-            SweepPoint(
-                g=normalized_load(config),
-                ns=ns,
-                n_label=n_label,
-                k_label=k_label,
-                seed=seed,
-                aggregate=aggregate,
-            )
-        )
+        points.append(sweep_point(config, codes, frames, workers))
     if not points:
         raise ValueError("no realizable load values in sweep")
     points.sort(key=lambda pt: pt.g)
-    best = max(points, key=lambda pt: pt.aggregate.t_mean)
-    return SweepResult(
-        points=tuple(points),
-        argmax_g=best.g,
-        t_max=best.aggregate.t_mean,
-        skipped=tuple(skipped),
-    )
+    return SweepResult(points=tuple(points), skipped=tuple(skipped))
 
 
 def aloha_baseline(g: float, variant: str) -> float:

@@ -17,9 +17,14 @@ from csasim import FramePlacement, SystemConfig, UserCode
 
 def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:
     """Hand-built placement from explicit per-user slot lists."""
-    arrays = tuple(np.array(sorted(s), dtype=np.int64) for s in slots)
-    degree = np.bincount(np.concatenate(arrays), minlength=ns)
-    return FramePlacement(ns=ns, slots_of_user=arrays, degree_of_slot=degree)
+    flat = np.concatenate([np.array(sorted(s), dtype=np.int64) for s in slots])
+    degree = np.bincount(flat, minlength=ns)
+    return FramePlacement(ns=ns, slot_of_burst=flat, degree_of_slot=degree)
+
+
+def slots_by_user(config: SystemConfig, placement: FramePlacement) -> list[np.ndarray]:
+    """Split a placement's flat burst array into one slot array per user."""
+    return np.split(placement.slot_of_burst, np.cumsum([u.n for u in config.users])[:-1])
 
 
 def peel_oracle(

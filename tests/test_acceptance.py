@@ -5,6 +5,7 @@ use 2000 frames per load point (the analytic-agreement check uses 100k
 frames of a small system); the whole suite completes in a few minutes.
 """
 import math
+import os
 import random
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_ac5_slotted_aloha_baseline():
     )
 
 
-def test_ac6_property_suite():
+def test_ac6_property_suite(monkeypatch):
     checks = []
 
     # peeling-fixpoint order invariance, >=1000 instances x >=100 orders
@@ -228,7 +229,8 @@ def test_ac6_property_suite():
                     exact = False
     checks.append(("decode probability exact to 1e-12", exact))
 
-    # bitwise reproducibility across worker counts
+    # bitwise reproducibility across worker counts, split 4 ways on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     config = SystemConfig(ns=60, users=(UserCode(3, 1),) * 20, seed=SEED)
     serial = run_trials(config, 400, workers=1)
     repro = serial == run_trials(config, 400, workers=2) == run_trials(config, 400, workers=4)

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -378,6 +379,76 @@ def test_de_output_bytes_pinned(tmp_path, name):
     assert out.read_bytes() == csv_text.encode()
 
 
+# exact Monte Carlo output (config text, arguments, CSV text) recorded before
+# placements became one flat burst array: the tier-1 config, a dense mixture
+# (n > ns/2 and several code groups) on two workers, a short sweep of the
+# mc-sweep mixture, and the decoder trace of one mc-peak frame; a changed RNG
+# draw order or decoding rule shows here
+MC_PINNED = {
+    "simulate": (
+        "ns=30\nusers=8x(3,1)\nseed=11\n",
+        ["simulate", "--frames", "50"],
+        """\
+g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+0.266667,30,3,1,50,0.266667,0,0,0,11
+""",
+    ),
+    "simulate-dense-mixture": (
+        "ns=12\nusers=2x(8,3) 3x(2,1) 1x(12,1)\nseed=5\n",
+        ["simulate", "--frames", "40", "--workers", "2"],
+        """\
+g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+0.833333,12,8;2;12,3;1;1,40,0.0854167,0.845833,0.0415546,0.0553427,5
+""",
+    ),
+    "sweep-mixture": (
+        "ns=100\nusers=2x(4,2) 3x(2,1)\nseed=3\n",
+        ["sweep", "--g", "0.2:1.0:0.4", "--frames", "20"],
+        """\
+g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+0.2,100,4;2,2;1,20,0.2,0,1.24804e-17,0,3
+0.6,100,4;2,2;1,20,0.504,0.153488,0.0494702,0.0758698,3
+0.99,100,4;2,2;1,20,0.1745,0.794366,0.0311035,0.0335956,3
+""",
+    ),
+    "trace-peak": (
+        "ns=400\nusers=302x(3,1)\nseed=1\n",
+        ["trace", "--frame-index", "0"],
+        """\
+l,newly_decoded,p_empirical,q_empirical
+0,2;5;6;8;12;27;28;30;32;33;38;39;47;53;54;55;64;65;67;69;75;77;80;84;88;91;92;96;99;103;104;108;112;113;121;125;126;129;131;132;133;134;135;139;143;145;147;149;154;159;168;184;186;190;197;198;206;209;213;215;217;219;220;221;222;224;225;244;245;246;247;248;249;254;256;257;259;261;263;265;266;269;271;276;279;280;282;293;300,0.887417,0.705298
+1,25;45;57;62;70;71;74;98;102;106;111;115;119;130;136;148;151;155;164;172;179;189;196;223;227;250;253;260;267;277;283;292,0.946792,0.599338
+2,16;19;22;40;41;56;60;61;89;105;110;138;156;158;161;166;183;187;210;211;240;241;268;287,0.953959,0.519868
+3,1;4;37;118;120;160;170;177;199;212;226;228;230;238;251;252;294,0.963907,0.463576
+4,21;52;73;85;109;162;165;171;173;180;192;195;204;229;242;285;291;299,0.954762,0.403974
+5,3;13;42;58;137;153;167;176;203;216;231;236;255;296,0.956284,0.357616
+6,82;101;107;144;182;193;243;262;288,0.969136,0.327815
+7,0;18;34;44;79;97;270;273,0.969697,0.301325
+8,26;31;59;191;200;201;205;286,0.970696,0.274834
+9,7;14;15;43;63;83;122;281,0.967871,0.248344
+10,116;124;146;152;185;194;232;237,0.964444,0.221854
+11,17;29;49;95;150;181;218;233;275,0.955224,0.192053
+12,11;24;81;87;90;141;163;174;202;207;234;284;297,0.91954,0.149007
+13,35;68;72;76;86;127;128;175;214;239;264;274;289,0.874074,0.10596
+14,36;51;114;117;157;169;188;235;272;290;298,0.875,0.0695364
+15,10;20;48;66;78;123;142;178;208;258;295;301,0.777778,0.0298013
+16,9;23;46;50;93;140;278,0.518519,0.00662252
+17,94;100,0.333333,0
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MC_PINNED))
+def test_monte_carlo_output_bytes_pinned(tmp_path, name):
+    config_text, args, csv_text = MC_PINNED[name]
+    path = tmp_path / "exp.cfg"
+    path.write_text(config_text)
+    out = tmp_path / "mc.csv"
+    assert main(args + ["--config", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == csv_text.encode()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second to import, several times the rest of
     # the command line's start-up
@@ -392,6 +463,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_package_source_has_no_assert():
+    # `python -O` strips assert statements, so no invariant may rest on one
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestCsvFormatting:

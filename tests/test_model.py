@@ -15,6 +15,7 @@ from csasim import (
     expected_initial_histogram,
     place_frame,
 )
+from helpers import slots_by_user
 
 
 @st.composite
@@ -68,17 +69,35 @@ class TestCodeGroups:
         assert pickle.loads(pickle.dumps(config)) == config
 
 
+class TestBurstArrays:
+    def test_cached_read_only_and_aligned(self):
+        config = SystemConfig(ns=6, users=(UserCode(3, 1), UserCode(1, 1), UserCode(2, 2)))
+        assert config.burst_counts.tolist() == [3, 1, 2]
+        assert config.thresholds.tolist() == [1, 1, 2]
+        assert config.user_of_burst.tolist() == [0, 0, 0, 1, 2, 2]
+        for name in ("burst_counts", "thresholds", "user_of_burst"):
+            array = getattr(config, name)
+            assert array is getattr(config, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+            # a pickled config (as sent to pool workers) rebuilds them read-only
+            assert not getattr(pickle.loads(pickle.dumps(config)), name).flags.writeable
+        placement = place_frame(config, 0)
+        assert placement.total_bursts == config.total_bursts == 6
+
+
 class TestPlaceFrame:
     def test_single_user_filling_frame(self):
         config = SystemConfig(ns=4, users=(UserCode(4, 1),), seed=3)
         placement = place_frame(config, 0)
-        assert placement.slots_of_user[0].tolist() == [0, 1, 2, 3]
+        assert slots_by_user(config, placement)[0].tolist() == [0, 1, 2, 3]
         assert placement.degree_of_slot.tolist() == [1, 1, 1, 1]
 
     def test_forced_two_user_overlap(self):
         config = SystemConfig(ns=2, users=(UserCode(2, 2), UserCode(2, 2)), seed=5)
         placement = place_frame(config, 0)
-        for slots in placement.slots_of_user:
+        for slots in slots_by_user(config, placement):
             assert slots.tolist() == [0, 1]
         assert placement.degree_of_slot.tolist() == [2, 2]
 
@@ -98,12 +117,12 @@ class TestPlaceFrame:
         config = SystemConfig(ns=20, users=(UserCode(3, 1),) * 5, seed=42)
         a = place_frame(config, 7)
         b = place_frame(config, 7)
-        for x, y in zip(a.slots_of_user, b.slots_of_user):
+        for x, y in zip(slots_by_user(config, a), slots_by_user(config, b)):
             assert np.array_equal(x, y)
         c = place_frame(config, 8)
         assert any(
             not np.array_equal(x, y)
-            for x, y in zip(a.slots_of_user, c.slots_of_user)
+            for x, y in zip(slots_by_user(config, a), slots_by_user(config, c))
         )
 
     def test_slot_usage_uniform_across_frames_chi_square(self):
@@ -111,7 +130,7 @@ class TestPlaceFrame:
         frames = 10_000
         counts = np.zeros(20)
         for j in range(frames):
-            counts[place_frame(config, j).slots_of_user[0][0]] += 1
+            counts[slots_by_user(config, place_frame(config, j))[0][0]] += 1
         result = chisquare(counts)
         assert result.pvalue > 0.001
 
@@ -120,7 +139,7 @@ class TestPlaceFrame:
         frames = 100_000
         counts = np.zeros(10)
         for j in range(frames):
-            counts[place_frame(config, j).slots_of_user[0]] += 1
+            counts[slots_by_user(config, place_frame(config, j))[0]] += 1
         freq = counts / frames
         se = np.sqrt(0.3 * 0.7 / frames)
         assert np.all(np.abs(freq - 0.3) <= 3 * se)
@@ -130,12 +149,12 @@ class TestPlaceFrame:
     def test_burst_conservation_and_distinctness(self, config, frame_index):
         placement = place_frame(config, frame_index)
         assert int(placement.degree_of_slot.sum()) == config.total_bursts
-        for user, slots in zip(config.users, placement.slots_of_user):
+        for user, slots in zip(config.users, slots_by_user(config, placement)):
             assert slots.size == user.n
             assert np.unique(slots).size == user.n
             assert slots.min() >= 0 and slots.max() < config.ns
         recounted = np.zeros(config.ns, dtype=int)
-        for slots in placement.slots_of_user:
+        for slots in slots_by_user(config, placement):
             recounted[slots] += 1
         assert np.array_equal(recounted, placement.degree_of_slot)
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from csasim import (
     UserCode,
     aloha_baseline,
     baseline_curve,
-    decode_frame,
     empirical_round_curves,
     frame_metrics,
     normalized_load,
@@ -18,6 +18,8 @@ from csasim import (
     sweep_load,
     users_for_load,
 )
+from csasim import montecarlo
+from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
 from helpers import make_placement, random_instance
 
@@ -36,25 +38,28 @@ class TestNormalizedLoad:
         assert normalized_load(config) == pytest.approx(0.3)
 
 
+def undecoded_mask(config, placement):
+    return _peel(config, placement, record=False)[0]
+
+
 class TestFrameMetrics:
     def test_all_decoded(self):
         config = homogeneous(100, 3, 2, 10)
-        placement = place_frame(config, 0)
-        trace = decode_frame(config, placement)
-        if not trace.deadlock:  # overwhelmingly likely at this load
-            t, plr = frame_metrics(config, trace)
+        undecoded = undecoded_mask(config, place_frame(config, 0))
+        if not undecoded.any():  # overwhelmingly likely at this load
+            t, plr = frame_metrics(config, undecoded)
             assert t == pytest.approx(0.2)
             assert plr == 0.0
 
     def test_total_deadlock(self):
         config = homogeneous(2, 2, 1, 2)
-        trace = decode_frame(config, make_placement(2, [[0, 1], [0, 1]]))
-        assert frame_metrics(config, trace) == (0.0, 1.0)
+        undecoded = undecoded_mask(config, make_placement(2, [[0, 1], [0, 1]]))
+        assert frame_metrics(config, undecoded) == (0.0, 1.0)
 
     def test_cancellation_chain_frame(self):
         config = homogeneous(8, 4, 2, 3)
         placement = make_placement(8, [[0, 1, 2, 3], [2, 4, 5, 6], [3, 5, 6, 7]])
-        t, plr = frame_metrics(config, decode_frame(config, placement))
+        t, plr = frame_metrics(config, undecoded_mask(config, placement))
         assert t == pytest.approx(6 / 8)
         assert plr == 0.0
 
@@ -82,11 +87,35 @@ class TestRunTrials:
         b = run_trials(config, frames=300)
         assert a == b
 
-    def test_bitwise_identical_across_worker_counts(self):
+    def test_bitwise_identical_across_worker_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a 3-way split on any host
         config = homogeneous(40, 3, 1, 12, seed=77)
         serial = run_trials(config, frames=240, workers=1)
         parallel = run_trials(config, frames=240, workers=3)
         assert serial == parallel
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        config = homogeneous(40, 3, 1, 12, seed=77)
+        capped = run_trials(config, frames=64, workers=64)
+        assert started == [2]
+        assert capped == run_trials(config, frames=64, workers=1)
 
     def test_slotted_aloha_equivalence(self):
         # (1,1) users degenerate to classical slotted Aloha
