@@ -12,9 +12,10 @@ Load grids are START:STOP:STEP (inclusive) or a comma-separated list. All
 behaviour is controlled by flags; environment variables are ignored so a
 command line fully reproduces a result.
 
-Exit status: 0 on success, 1 on bad input or an I/O error (one ``error:``
-line on stderr), 2 on a usage error (argparse), 3 on an internal error, i.e.
-a bug (one ``error: internal:`` line).
+Exit status: 0 on success, 1 on bad input, an I/O error or an allocation
+that does not fit in memory (one ``error:`` line on stderr), 2 on a usage
+error (argparse), 3 on an internal error, i.e. a bug (one ``error:
+internal:`` line).
 """
 from __future__ import annotations
 
@@ -174,6 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         run(spec)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -6,6 +6,13 @@ subtracted from their slots, and the round counter advances. Subtraction can
 turn collided slots into clean ones, so decoding cascades until a fixpoint.
 The fixpoint does not depend on processing order (peeling is confluent), so
 synchronous rounds give the same decoded set as any one-user-at-a-time order.
+
+Rounds are incremental, as in the linear-time peeling of Luby et al.
+("Efficient erasure correcting codes", IEEE Trans. IT 2001): each slot keeps
+its degree and the sum of the user indices still in it, so a slot of degree
+1 names its owner. A round subtracts only the bursts of the users it decodes
+and credits one clean burst to the owner of each slot whose degree just fell
+to 1; no round rescans every burst of the frame.
 """
 from __future__ import annotations
 
@@ -56,35 +63,49 @@ def _check_consistent(config: SystemConfig, placement: FramePlacement) -> None:
         raise ValueError("placement does not match config")
 
 
+def _collided_bursts(degree: np.ndarray) -> tuple[int, float]:
+    """Bursts in collided slots, and their fraction of all bursts in ``degree``."""
+    remaining = int(degree.sum())
+    collided = int(degree[degree >= 2].sum())
+    return collided, collided / remaining if remaining else 0.0
+
+
 def _peel(
     config: SystemConfig, placement: FramePlacement, record: bool
 ) -> tuple[np.ndarray, list[RoundRecord], float, int]:
-    """Core peeling loop; returns (undecoded mask, rounds, final_p, n_rounds)."""
+    """Core peeling loop; returns (undecoded mask, rounds, final_p, n_rounds).
+
+    ``owner`` holds, per slot, the sum of the user indices whose bursts are
+    still in it, so a slot of degree 1 names its owner. The sums are float64
+    (``np.bincount`` weights) and exact while they stay below 2**53, far
+    beyond any frame this package can hold in memory.
+    """
     nu = config.n_users
     k_arr = config.thresholds
     user_of_burst = config.user_of_burst
     slot_of_burst = placement.slot_of_burst
+    ns = config.ns
     total = slot_of_burst.size
     degree = placement.degree_of_slot.copy()
+    owner = np.bincount(slot_of_burst, weights=user_of_burst, minlength=ns)
+    clean_counts = np.bincount(user_of_burst[degree[slot_of_burst] == 1], minlength=nu)
     undecoded = np.ones(nu, dtype=bool)
-    active = np.ones(total, dtype=bool)
+    decodable = clean_counts >= k_arr
 
     rounds: list[RoundRecord] = []
     n_rounds = 0
-    while True:
-        active_slots = slot_of_burst[active]
-        collided = int((degree[active_slots] >= 2).sum())
-        remaining = active_slots.size
-        p_emp = collided / remaining if remaining else 0.0
-        clean = (degree[slot_of_burst] == 1) & active
-        clean_counts = np.bincount(user_of_burst[clean], minlength=nu)
-        decodable = undecoded & (clean_counts >= k_arr)
-        if not decodable.any():
-            return undecoded, rounds, p_emp, n_rounds
-        hit = active & decodable[user_of_burst]
-        degree -= np.bincount(slot_of_burst[hit], minlength=config.ns)
-        active &= ~hit
-        undecoded &= ~decodable
+    while decodable.any():
+        if record:
+            collided, p_emp = _collided_bursts(degree)
+        hit = decodable[user_of_burst]
+        hit_slots = slot_of_burst[hit]
+        removed = np.bincount(hit_slots, minlength=ns)
+        degree -= removed
+        owner -= np.bincount(hit_slots, weights=user_of_burst[hit], minlength=ns)
+        # slots whose degree just fell to 1 give their owner one clean burst
+        fresh = owner[(removed > 0) & (degree == 1)].astype(np.int64)
+        clean_counts += np.bincount(fresh, minlength=nu)
+        undecoded ^= decodable
         if record:
             rounds.append(
                 RoundRecord(
@@ -98,6 +119,8 @@ def _peel(
         n_rounds += 1
         if n_rounds > nu:
             raise InternalError(f"peeling ran {n_rounds} rounds for {nu} users")
+        decodable = undecoded & (clean_counts >= k_arr)
+    return undecoded, rounds, _collided_bursts(degree)[1], n_rounds
 
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:
@@ -115,8 +138,4 @@ def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace
 
 def empirical_p0(placement: FramePlacement) -> float:
     """Fraction of bursts lying in collided slots of a fresh placement."""
-    degree = placement.degree_of_slot
-    total = int(degree.sum())
-    if total == 0:
-        return 0.0
-    return int(degree[degree >= 2].sum()) / total
+    return _collided_bursts(placement.degree_of_slot)[1]

@@ -99,6 +99,19 @@ class SystemConfig:
         """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
         return _read_only(np.repeat(np.arange(self.n_users), self.burst_counts))
 
+    @cached_property
+    def placement_groups(self) -> tuple[np.ndarray, ...]:
+        """Burst positions of the users sharing each distinct n, one row per user.
+
+        Groups are in ascending n, the order in which ``place_frame`` draws
+        them, and each group is read-only with shape (users with n, n).
+        """
+        n_of_burst = self.burst_counts[self.user_of_burst]
+        return tuple(
+            _read_only(np.flatnonzero(n_of_burst == n).reshape(-1, n))
+            for n in np.unique(self.burst_counts).tolist()
+        )
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -176,14 +189,10 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     repeated slot are redrawn, which leaves the subset distribution uniform.
     """
     ns = config.ns
-    n_arr = config.burst_counts
-    n_of_burst = n_arr[config.user_of_burst]
     rng = frame_rng(config.seed, frame_index)
-    slot_of_burst = np.empty(n_of_burst.size, dtype=np.int64)
-    for n in np.unique(n_arr):
-        n = int(n)
-        # burst positions of the users with n bursts, one row per user
-        at = np.flatnonzero(n_of_burst == n).reshape(-1, n)
+    slot_of_burst = np.empty(config.user_of_burst.size, dtype=np.int64)
+    for at in config.placement_groups:
+        n = at.shape[1]
         if n > ns // 2:
             # dense occupancy: partial-shuffle draw beats rejection
             for row in at:
@@ -192,7 +201,7 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
         rows = np.sort(rng.integers(0, ns, size=at.shape), axis=1)
         if n > 1:
             while True:
-                bad = (np.diff(rows, axis=1) == 0).any(axis=1)
+                bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
                 n_bad = int(bad.sum())
                 if n_bad == 0:
                     break

@@ -12,6 +12,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,19 +109,37 @@ def _simulate_range(
     return t, plr, rounds
 
 
-def run_trials(config: SystemConfig, frames: int, workers: int = 1) -> TrialAggregate:
-    """Average frame metrics over ``frames`` independent placements."""
+def _process_count(workers: int, frames: int) -> int:
+    """Processes to use: at most one per CPU and per frame.
+
+    The result does not depend on it, since frames are keyed by index.
+    """
+    return min(workers, frames, os.cpu_count() or 1)
+
+
+def run_trials(
+    config: SystemConfig,
+    frames: int,
+    workers: int = 1,
+    *,
+    pool: ProcessPoolExecutor | None = None,
+) -> TrialAggregate:
+    """Average frame metrics over ``frames`` independent placements.
+
+    When more than one process is used, the chunks run on ``pool`` if it is
+    given, else on a pool started for this call.
+    """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    # at most one process per CPU and per frame; the result does not depend on it
-    workers = min(workers, frames, os.cpu_count() or 1)
+    workers = _process_count(workers, frames)
     if workers <= 1:
         t, plr, rounds = _simulate_range(config, 0, frames)
     else:
         bounds = np.linspace(0, frames, num=workers + 1, dtype=int)
         starts, stops = bounds[:-1], bounds[1:]
-        with ProcessPoolExecutor(max_workers=starts.size) as pool:
-            parts = list(pool.map(_simulate_range, [config] * starts.size, starts, stops))
+        with nullcontext(pool) if pool else ProcessPoolExecutor(workers) as executor:
+            chunks = executor.map(_simulate_range, [config] * workers, starts, stops)
+            parts = list(chunks)
         # chunks are keyed by frame index, so concatenation reproduces the
         # single-pass arrays bit for bit
         t, plr, rounds = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -182,7 +201,12 @@ def users_for_load(
 
 
 def sweep_point(
-    config: SystemConfig, codes: Sequence[UserCode], frames: int, workers: int = 1
+    config: SystemConfig,
+    codes: Sequence[UserCode],
+    frames: int,
+    workers: int = 1,
+    *,
+    pool: ProcessPoolExecutor | None = None,
 ) -> SweepPoint:
     """Simulate one load point; ``codes`` name its n and k columns."""
     return SweepPoint(
@@ -191,7 +215,7 @@ def sweep_point(
         n_label=";".join(str(code.n) for code in codes),
         k_label=";".join(str(code.k) for code in codes),
         seed=config.seed,
-        aggregate=run_trials(config, frames, workers=workers),
+        aggregate=run_trials(config, frames, workers=workers, pool=pool),
     )
 
 
@@ -206,26 +230,29 @@ def sweep_load(
     """Run one trial aggregate per requested load and locate the throughput peak.
 
     Unrealizable loads are skipped with a warning record; reported loads are
-    the realized sum(k_i) / ns, not the requested grid values.
+    the realized sum(k_i) / ns, not the requested grid values. All points
+    share one process pool when more than one process is used.
     """
     # labels come from the mixture: a light load can apportion 0 users to a code
     codes = [code for code, _ in _as_mixture(template)]
 
     points: list[SweepPoint] = []
     skipped: list[tuple[float, str]] = []
-    for g in g_values:
-        users = users_for_load(template, ns, g)
-        if users is None:
-            skipped.append((g, "load too small for one user"))
-            logger.warning("skipping G=%g: load too small for one user", g)
-            continue
-        try:
-            config = SystemConfig(ns=ns, users=users, seed=seed)
-        except ValueError as exc:
-            skipped.append((g, str(exc)))
-            logger.warning("skipping G=%g: %s", g, exc)
-            continue
-        points.append(sweep_point(config, codes, frames, workers))
+    processes = _process_count(workers, frames)
+    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
+        for g in g_values:
+            users = users_for_load(template, ns, g)
+            if users is None:
+                skipped.append((g, "load too small for one user"))
+                logger.warning("skipping G=%g: load too small for one user", g)
+                continue
+            try:
+                config = SystemConfig(ns=ns, users=users, seed=seed)
+            except ValueError as exc:
+                skipped.append((g, str(exc)))
+                logger.warning("skipping G=%g: %s", g, exc)
+                continue
+            points.append(sweep_point(config, codes, frames, workers, pool=pool))
     if not points:
         raise ValueError("no realizable load values in sweep")
     points.sort(key=lambda pt: pt.g)

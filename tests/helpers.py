@@ -58,6 +58,38 @@ def peel_oracle(
             return set(range(len(users))) - undecoded
 
 
+def synchronous_rounds_oracle(
+    ns: int, users: list[UserCode], slots: list[list[int]]
+) -> tuple[list[tuple[set[int], float, float, float]], set[int], float]:
+    """Synchronous peeling, rescanning every burst in every round.
+
+    Each round removes at once every undecoded user with at least k clean
+    bursts. Returns one (newly decoded, p over remaining bursts, q, p over
+    all bursts) tuple per productive round, the undecoded users, and the
+    collided fraction of the remaining bursts at the fixpoint.
+    """
+    total = sum(len(user_slots) for user_slots in slots)
+    undecoded = set(range(len(users)))
+    rounds = []
+    while True:
+        degree = [0] * ns
+        for i in undecoded:
+            for s in slots[i]:
+                degree[s] += 1
+        remaining = sum(len(slots[i]) for i in undecoded)
+        collided = sum(1 for i in undecoded for s in slots[i] if degree[s] >= 2)
+        p = collided / remaining if remaining else 0.0
+        newly = {
+            i
+            for i in undecoded
+            if sum(1 for s in slots[i] if degree[s] == 1) >= users[i].k
+        }
+        if not newly:
+            return rounds, undecoded, p
+        undecoded -= newly
+        rounds.append((newly, p, len(undecoded) / len(users), collided / total))
+
+
 def replica_sic_oracle(ns: int, slots: list[list[int]]) -> set[int]:
     """Replica-based interference cancellation (one-clean-burst decode rule).
 

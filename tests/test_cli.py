@@ -16,7 +16,7 @@ from csasim import (
     render_config,
     render_csv,
 )
-from csasim import cli, csvio
+from csasim import cli, csvio, montecarlo
 from csasim.cli import main, parse_g_spec
 from csasim.csvio import BASELINE_HEADER, DE_HEADER, SWEEP_HEADER, TRACE_HEADER
 
@@ -288,6 +288,31 @@ class TestCommandLine:
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: internal: q increased from 0.1 to 0.2\n"
+
+    def test_memory_error_exits_1_with_one_line(
+        self, tmp_path, config_file, capsys, monkeypatch
+    ):
+        message = "Unable to allocate 72.8 TiB for an array with shape (10**13,)"
+
+        def too_large(config, frames, workers=1, *, pool=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(montecarlo, "run_trials", too_large)
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate",
+                "--config",
+                str(config_file),
+                "--frames",
+                "10000000000000",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not out.exists()
 
     def test_failed_write_keeps_earlier_file(self, tmp_path, config_file, monkeypatch):
         out = tmp_path / "de.csv"

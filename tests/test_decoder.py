@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from csasim import SystemConfig, UserCode, decode_frame, empirical_p0, place_frame
-from helpers import make_placement, peel_oracle, random_instance, replica_sic_oracle
+from csasim.decoder import _peel
+from helpers import (
+    make_placement,
+    peel_oracle,
+    random_instance,
+    replica_sic_oracle,
+    synchronous_rounds_oracle,
+)
 
 
 def config_for(ns, codes, seed=0):
@@ -75,6 +82,33 @@ class TestDecodeFrame:
             trace = decode_frame(config, placement)
             expected = peel_oracle(config.ns, list(config.users), slots)
             assert set(trace.decoded_users) == expected
+
+    def test_rounds_match_synchronous_oracle(self):
+        rng = random.Random(2718)
+        seen = {"k > 1": 0, "n > ns/2": 0, "ns = 1": 0, "3+ rounds": 0}
+        for index in range(10_000):
+            sizes = {} if index % 2 else {"max_users": 8, "max_ns": 10, "max_n": 5}
+            config, slots = random_instance(rng, **sizes)
+            placement = make_placement(config.ns, slots)
+            rounds, undecoded, final_p = synchronous_rounds_oracle(
+                config.ns, list(config.users), slots
+            )
+            mask, _, peel_p, n_rounds = _peel(config, placement, record=False)
+            assert n_rounds == len(rounds)
+            assert set(np.flatnonzero(mask).tolist()) == undecoded
+            assert peel_p == final_p
+            trace = decode_frame(config, placement)
+            assert trace.final_p == final_p
+            assert [
+                (set(r.newly_decoded), r.p_empirical, r.q_empirical, r.p_all_bursts)
+                for r in trace.rounds
+            ] == rounds
+            assert [r.round_index for r in trace.rounds] == list(range(n_rounds))
+            seen["k > 1"] += any(u.k > 1 for u in config.users)
+            seen["n > ns/2"] += any(2 * u.n > config.ns for u in config.users)
+            seen["ns = 1"] += config.ns == 1
+            seen["3+ rounds"] += n_rounds >= 3
+        assert min(seen.values()) >= 100, seen
 
     def test_matches_rescan_oracle_exhaustively(self):
         from itertools import combinations, product

@@ -85,6 +85,19 @@ class TestBurstArrays:
             assert not getattr(pickle.loads(pickle.dumps(config)), name).flags.writeable
         placement = place_frame(config, 0)
         assert placement.total_bursts == config.total_bursts == 6
+        # placement groups: ascending n, one read-only row per user
+        groups = config.placement_groups
+        assert groups is config.placement_groups
+        assert [g.tolist() for g in groups] == [[[3]], [[4, 5]], [[0, 1, 2]]]
+        for group in groups:
+            assert not group.flags.writeable
+            n_of_position = config.burst_counts[config.user_of_burst[group]]
+            assert (n_of_position == group.shape[1]).all()
+        covered = np.sort(np.concatenate([g.ravel() for g in groups]))
+        assert covered.tolist() == list(range(config.total_bursts))
+        assert set(config.__getstate__()) == {"ns", "users", "seed"}
+        copy = pickle.loads(pickle.dumps(config))
+        assert all(not g.flags.writeable for g in copy.placement_groups)
 
 
 class TestPlaceFrame:

@@ -179,6 +179,48 @@ class TestSweepLoad:
         with pytest.raises(ValueError, match="no realizable"):
             sweep_load(UserCode(4, 2), ns=10, g_values=[0.01], frames=10)
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        built, closed = [], []
+
+        class SerialPool:
+            fail_at_map = None
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                self.maps = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                closed.append(exc[0])
+                return False
+
+            def map(self, fn, *iterables):
+                self.maps += 1
+                if self.maps == self.fail_at_map:
+                    raise MemoryError("chunk too large")
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
+        loads = [0.01, 0.2, 0.4, 0.6]
+        sweep = lambda workers: sweep_load(
+            mixture, ns=40, g_values=loads, frames=30, seed=5, workers=workers
+        )
+        shared = sweep(2)
+        assert built == [2] and closed == [None]
+        assert len(shared.points) == 3
+        assert shared == sweep(1)
+        assert built == [2]
+
+        # a point failing inside the pool still shuts the pool down
+        SerialPool.fail_at_map = 2
+        with pytest.raises(MemoryError):
+            sweep(2)
+        assert built == [2, 2] and closed == [None, MemoryError]
+
 
 class TestBaseline:
     def test_slotted_peak(self):
