@@ -12,39 +12,32 @@ Load grids are START:STOP:STEP (inclusive) or a comma-separated list. All
 behaviour is controlled by flags; environment variables are ignored so a
 command line fully reproduces a result.
 
-Exit status: 0 on success, 1 on bad input, an I/O error or an allocation
-that does not fit in memory (one ``error:`` line on stderr), 2 on a usage
-error (argparse), 3 on an internal error, i.e. a bug (one ``error:
-internal:`` line).
+Exit status: 0 on success, 1 on bad input, an I/O error, an allocation
+that does not fit in memory or a worker process that died (one ``error:``
+line on stderr; ``--out`` is left as it was), 2 on a usage error (argparse),
+3 on an internal error, i.e. a bug (one ``error: internal:`` line).
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from typing import Callable
 
 from .configfile import ConfigError, parse_config
 from .csvio import emit_csv
-from .decoder import decode_frame
-from .density import de_iterate
+from .decoder import DecodeTrace, decode_frame
+from .density import DETrace, de_iterate
 from .model import InternalError, SystemConfig, place_frame
-from .montecarlo import SweepResult, baseline_curve, sweep_load, sweep_point
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One validated CLI invocation."""
-
-    command: str
-    out: str
-    config_path: str | None = None
-    seed: int | None = None
-    frames: int | None = None
-    g_list: tuple[float, ...] | None = None
-    frame_index: int | None = None
-    variant: str | None = None
-    workers: int = 1
+from .montecarlo import (
+    BaselineCurve,
+    SweepResult,
+    baseline_curve,
+    sweep_load,
+    sweep_point,
+)
 
 
 def parse_g_spec(text: str) -> tuple[float, ...]:
@@ -70,6 +63,44 @@ def parse_g_spec(text: str) -> tuple[float, ...]:
     return values
 
 
+def _load_config(args: argparse.Namespace) -> SystemConfig:
+    with open(args.config) as handle:
+        config = parse_config(handle.read())
+    seed = getattr(args, "seed", None)
+    return config if seed is None else replace(config, seed=seed)
+
+
+def _simulate(args: argparse.Namespace) -> SweepResult:
+    config = _load_config(args)
+    codes = [code for code, _ in config.code_groups]
+    return SweepResult(points=(sweep_point(config, codes, args.frames, args.workers),))
+
+
+def _sweep(args: argparse.Namespace) -> SweepResult:
+    config = _load_config(args)
+    return sweep_load(
+        config.code_groups,
+        config.ns,
+        args.g,
+        args.frames,
+        seed=config.seed,
+        workers=args.workers,
+    )
+
+
+def _de(args: argparse.Namespace) -> DETrace:
+    return de_iterate(_load_config(args))
+
+
+def _trace(args: argparse.Namespace) -> DecodeTrace:
+    config = _load_config(args)
+    return decode_frame(config, place_frame(config, args.frame_index))
+
+
+def _baseline(args: argparse.Namespace) -> BaselineCurve:
+    return baseline_curve(args.g, args.variant)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csasim",
@@ -77,103 +108,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
+    def add_command(
+        name: str, run: Callable, summary: str, config: bool = True
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         if config:
             p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", required=True, help="output CSV path")
+        return p
 
-    p = sub.add_parser("simulate", help="average metrics over many frames")
-    add_common(p)
-    p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1)
+    def add_monte_carlo(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--frames", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("sweep", help="throughput/PLR versus normalized load")
-    add_common(p)
+    add_monte_carlo(add_command("simulate", _simulate, "average metrics over many frames"))
+    p = add_command("sweep", _sweep, "throughput/PLR versus normalized load")
     p.add_argument("--g", required=True, help="load grid, START:STOP:STEP or comma list")
-    p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("de", help="analytic per-round recursion")
-    add_common(p)
-
-    p = sub.add_parser("trace", help="decode one frame and dump its rounds")
-    add_common(p)
+    add_monte_carlo(p)
+    add_command("de", _de, "analytic per-round recursion")
+    p = add_command("trace", _trace, "decode one frame and dump its rounds")
     p.add_argument("--frame-index", type=int, required=True)
-
-    p = sub.add_parser("baseline", help="analytic Aloha throughput curve")
-    add_common(p, config=False)
+    p = add_command("baseline", _baseline, "analytic Aloha throughput curve", config=False)
     p.add_argument("--variant", choices=["slotted", "pure"], required=True)
     p.add_argument("--g", required=True, help="load grid, START:STOP:STEP or comma list")
     return parser
 
 
-def parse_args(argv: list[str]) -> RunSpec:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate the flags; no file is read."""
     args = build_parser().parse_args(argv)
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    return RunSpec(
-        command=args.command,
-        out=args.out,
-        config_path=getattr(args, "config", None),
-        seed=getattr(args, "seed", None),
-        frames=getattr(args, "frames", None),
-        g_list=parse_g_spec(args.g) if getattr(args, "g", None) else None,
-        frame_index=getattr(args, "frame_index", None),
-        variant=getattr(args, "variant", None),
-        workers=workers,
-    )
-
-
-def _load_config(spec: RunSpec) -> SystemConfig:
-    if spec.config_path is None:
-        raise InternalError(f"{spec.command} reached config loading without --config")
-    with open(spec.config_path) as handle:
-        config = parse_config(handle.read())
-    if spec.seed is not None:
-        config = replace(config, seed=spec.seed)
-    return config
-
-
-def run(spec: RunSpec) -> None:
-    if spec.command == "simulate":
-        config = _load_config(spec)
-        codes = [code for code, _ in config.code_groups]
-        point = sweep_point(config, codes, spec.frames, spec.workers)
-        emit_csv(SweepResult(points=(point,)), spec.out)
-    elif spec.command == "sweep":
-        config = _load_config(spec)
-        result = sweep_load(
-            config.code_groups,
-            config.ns,
-            spec.g_list,
-            spec.frames,
-            seed=config.seed,
-            workers=spec.workers,
-        )
-        emit_csv(result, spec.out)
-    elif spec.command == "de":
-        config = _load_config(spec)
-        emit_csv(de_iterate(config), spec.out)
-    elif spec.command == "trace":
-        config = _load_config(spec)
-        if spec.frame_index < 0:
-            raise ValueError(f"frame index must be >= 0, got {spec.frame_index}")
-        trace = decode_frame(config, place_frame(config, spec.frame_index))
-        emit_csv(trace, spec.out)
-    elif spec.command == "baseline":
-        emit_csv(baseline_curve(spec.g_list, spec.variant), spec.out)
-    else:  # unreachable: argparse restricts choices
-        raise ValueError(f"unknown command {spec.command!r}")
+    if hasattr(args, "g"):
+        args.g = parse_g_spec(args.g)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        spec = parse_args(sys.argv[1:] if argv is None else argv)
-        run(spec)
-    except (ConfigError, ValueError, OSError) as exc:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        emit_csv(args.run(args), args.out)
+    except (ConfigError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -75,8 +75,14 @@ def parse_config(text: str) -> SystemConfig:
         seen.add(key)
         if key == "ns":
             ns = _parse_int(key, value, lineno)
+            if ns < 1:
+                raise ConfigError(f"ns must be >= 1, got {ns}", lineno)
         elif key == "seed":
             seed = _parse_int(key, value, lineno)
+            if not 0 <= seed < 2**64:
+                raise ConfigError(
+                    f"seed must be a 64-bit unsigned integer, got {seed}", lineno
+                )
         elif key == "users":
             groups = _parse_users(value, lineno)
             users_line = lineno
@@ -100,10 +106,7 @@ def parse_config(text: str) -> SystemConfig:
             )
         users.extend([UserCode(n=n, k=k)] * count)
 
-    try:
-        return SystemConfig(ns=ns, users=tuple(users), seed=seed)
-    except ValueError as exc:  # anything the per-key checks above missed
-        raise ConfigError(str(exc)) from exc
+    return SystemConfig(ns=ns, users=tuple(users), seed=seed)
 
 
 def render_config(config: SystemConfig) -> str:

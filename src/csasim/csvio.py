@@ -81,18 +81,25 @@ def emit_csv(
     """Write a result to a path or text stream in its fixed schema.
 
     A path is written atomically: the rows go to a temporary file in the same
-    directory, which then replaces the path, so a failed write leaves any
-    earlier file at that path intact.
+    directory, which then replaces the file, so a failed write leaves any
+    earlier file there intact. A symlink's target is replaced, not the link.
+    A FIFO, a device or anything else that is not a regular file is written
+    to directly, as it cannot be replaced.
     """
     header, rows = _rows(result)
     if not isinstance(sink, (str, os.PathLike)):
         _write(sink, header, rows)
         return
-    tmp = f"{os.fspath(sink)}.{os.getpid()}.tmp"
+    if os.path.exists(sink) and not os.path.isfile(sink):
+        with open(sink, "w", newline="") as handle:
+            _write(handle, header, rows)
+        return
+    path = os.path.realpath(sink)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as handle:
             _write(handle, header, rows)
-        os.replace(tmp, sink)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

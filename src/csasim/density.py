@@ -29,10 +29,12 @@ remaining-burst factor undershoots the actual remaining population.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     InternalError,
@@ -65,9 +67,17 @@ class DETrace:
     converged_to_zero: bool
 
 
-def _log_binom(n, k):
-    """log C(n, k), valid for large arguments."""
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    """log C(n, k) from a table of log i!, each i! an exact integer product.
+
+    For i <= 12 the entry has the same bits as cephes' log-gamma at i + 1
+    (scipy.special.gammaln), which math.lgamma does not; above that the two
+    may differ in the last bits. The table costs O(n^2) big-integer work, a
+    few ms at n in the thousands.
+    """
+    factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
+    log_fact = np.array([math.log(f) for f in factorials])
+    return log_fact[n] - log_fact[k] - log_fact[n - k]
 
 
 def _clamp_unit(value: float, what: str) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,6 +120,17 @@ def binomial_tail_by_enumeration(n: int, k: int, p: float) -> float:
         if survivors >= k:
             total += (1.0 - p) ** survivors * p ** (n - survivors)
     return total
+
+
+def exact_binomial_tail(n: int, k: int, p: float) -> float:
+    """P(at least k of n survive erasure rate p), summed in exact rationals.
+
+    With p = erased / scale, every term is an integer over scale ** n.
+    """
+    erased, scale = Fraction(p).as_integer_ratio()
+    kept = scale - erased
+    tail = sum(math.comb(n, i) * kept**i * erased ** (n - i) for i in range(k, n + 1))
+    return float(Fraction(tail, scale**n))
 
 
 def collided_mass_by_thinning(

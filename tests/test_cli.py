@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,8 @@ class TestParseConfig:
             ("ns=4\nusers=1x(2,1) garbage", "malformed user group", 2),
             ("ns=4\nns=5\nusers=1x(2,1)", "duplicate key", 2),
             ("ns=4\nseed=x\nusers=1x(2,1)", "non-numeric value for 'seed'", 2),
+            ("ns=4\nseed=-1\nusers=1x(2,1)", "seed must be", 2),
+            ("ns=0\nusers=1x(1,1)", "ns must be >= 1", 1),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, fragment, line):
@@ -314,6 +318,77 @@ class TestCommandLine:
         assert capsys.readouterr().err == f"error: out of memory: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--g", "0.2,0.4"]], ids=["simulate", "sweep"]
+    )
+    def test_dead_worker_exits_1_with_one_line(
+        self, tmp_path, config_file, capsys, monkeypatch, command
+    ):
+        message = "A process in the process pool was terminated abruptly"
+
+        def worker_died(config, frames, workers=1, *, pool=None):
+            raise BrokenProcessPool(message)
+
+        monkeypatch.setattr(montecarlo, "run_trials", worker_died)
+        out = tmp_path / "x.csv"
+        args = ["--config", str(config_file), "--frames", "20", "--workers", "2"]
+        code = main(command + args + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_frame_index_exits_1_with_one_line(self, tmp_path, config_file, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["trace", "--config", str(config_file), "--frame-index", "-1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: frame_index must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,fragment",
+        [
+            (["--workers", "0", "--g", "0.2"], "--workers must be >= 1"),
+            (["--workers", "1", "--g", "nonsense"], "bad load grid"),
+        ],
+    )
+    def test_flags_checked_before_config_is_read(self, tmp_path, capsys, flags, fragment):
+        missing = str(tmp_path / "nope.cfg")
+        code = main(
+            ["sweep", "--config", missing, "--frames", "2", "--out", str(tmp_path / "x.csv")]
+            + flags
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert fragment in err and "nope.cfg" not in err
+
+    def test_symlinked_out_replaces_its_target(self, tmp_path, config_file):
+        target = tmp_path / "real.csv"
+        target.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert main(["de", "--config", str(config_file), "--out", str(link)]) == 0
+        fresh = tmp_path / "fresh.csv"
+        assert main(["de", "--config", str(config_file), "--out", str(fresh)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "fresh.csv", "link.csv", "real.csv"]
+
+    def test_fifo_out_is_written_through(self, tmp_path, config_file):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["de", "--config", str(config_file), "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        fresh = tmp_path / "fresh.csv"
+        assert main(["de", "--config", str(config_file), "--out", str(fresh)]) == 0
+        assert received == [fresh.read_bytes()]
+        assert fifo.is_fifo()
+
     def test_failed_write_keeps_earlier_file(self, tmp_path, config_file, monkeypatch):
         out = tmp_path / "de.csv"
         assert main(["de", "--config", str(config_file), "--out", str(out)]) == 0
@@ -474,11 +549,11 @@ def test_monte_carlo_output_bytes_pinned(tmp_path, name):
     assert out.read_bytes() == csv_text.encode()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import, several times the rest of
-    # the command line's start-up
+def test_cli_import_leaves_scipy_unloaded():
+    # the package needs numpy only; importing scipy.special alone would cost
+    # more than half of the command line's start-up
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, csasim.cli; print('scipy.stats' in sys.modules)"
+    probe = "import sys, csasim.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -23,6 +23,7 @@ from csasim.density import _collided_mass
 from helpers import (
     binomial_tail_by_enumeration,
     collided_mass_by_thinning,
+    exact_binomial_tail,
     make_placement,
     random_instance,
 )
@@ -56,6 +57,21 @@ class TestDecodeProbability:
             assert decode_probability(UserCode(n, k), p) == pytest.approx(
                 float(binom.sf(k - 1, n, 1.0 - p)), rel=1e-10
             )
+
+    @given(
+        st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example((200, 1), 0.5)
+    @example((200, 100), 0.5)
+    @example((200, 200), 1e-3)
+    @example((199, 3), 0.98)
+    @example((13, 7), 5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_rational_tail(self, code, p):
+        n, k = code
+        want = exact_binomial_tail(n, k, p)
+        assert decode_probability(UserCode(n, k), p) == pytest.approx(want, rel=0, abs=1e-12)
 
     @given(
         st.integers(1, 20),
@@ -177,6 +193,40 @@ class TestDeIterate:
                 assert 0.0 <= state.beta <= 1.0
             assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
             assert trace.predicted_plr == qs[-1]
+
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda ns: st.tuples(
+                st.just(ns),
+                st.lists(
+                    st.tuples(
+                        st.integers(1, ns).flatmap(
+                            lambda n: st.tuples(st.just(n), st.integers(1, n))
+                        ),
+                        st.integers(1, 8),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @example((20, [((15, 4), 3), ((13, 13), 2)]))  # n >= 13 and n > ns / 2
+    @example((40, [((13, 2), 8), ((3, 1), 8)]))  # n >= 13 below ns / 2
+    @example((30, [((30, 1), 2), ((2, 1), 8), ((16, 9), 1)]))  # a code fills the frame
+    @example((1, [((1, 1), 8)]))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_mixtures_in_range_and_q_monotone(self, frame):
+        ns, groups = frame
+        users = tuple(UserCode(n, k) for (n, k), count in groups for _ in range(count))
+        trace = de_iterate(SystemConfig(ns=ns, users=users))
+        assert 1 <= len(trace.states) <= len(users)
+        for state in trace.states:
+            assert 0.0 <= state.p <= 1.0
+            assert 0.0 <= state.q <= 1.0
+            assert 0.0 <= state.beta <= 1.0
+        qs = [s.q for s in trace.states]
+        assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
 
     def test_light_load_converges_heavy_load_does_not(self):
         light = de_iterate(homogeneous(100, 3, 1, 10))
