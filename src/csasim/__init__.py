@@ -21,10 +21,8 @@ from .density import (
 from .model import (
     FramePlacement,
     InternalError,
-    SlotDegreeHistogram,
     SystemConfig,
     UserCode,
-    degree_histogram,
     expected_initial_histogram,
     frame_rng,
     place_frame,
@@ -55,7 +53,6 @@ __all__ = [
     "FramePlacement",
     "InternalError",
     "RoundRecord",
-    "SlotDegreeHistogram",
     "SweepPoint",
     "SweepResult",
     "SystemConfig",
@@ -67,7 +64,6 @@ __all__ = [
     "de_predicted_plr",
     "decode_frame",
     "decode_probability",
-    "degree_histogram",
     "emit_csv",
     "empirical_p0",
     "empirical_round_curves",

@@ -42,25 +42,27 @@ from .montecarlo import (
 
 def parse_g_spec(text: str) -> tuple[float, ...]:
     """Parse a load grid: START:STOP:STEP (inclusive) or comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+    ranged = ":" in text
+    tokens = text.split(":") if ranged else [t for t in text.split(",") if t.strip()]
+    try:
+        numbers = [float(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"bad load grid {text!r}") from None
+    if not all(math.isfinite(x) for x in numbers):
+        raise ValueError(f"bad load grid {text!r} (values must be finite)")
+    if ranged:
+        if len(numbers) != 3:
             raise ValueError(f"bad load grid {text!r} (expected START:STOP:STEP)")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = numbers
         if step <= 0 or stop < start:
             raise ValueError(f"bad load grid {text!r} (need step > 0 and stop >= start)")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = tuple(round(start + i * step, 12) for i in range(count))
-    else:
-        try:
-            values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-        except ValueError:
-            raise ValueError(f"bad load grid {text!r}") from None
-    if not values:
+        numbers = [round(start + i * step, 12) for i in range(count)]
+    if not numbers:
         raise ValueError(f"empty load grid {text!r}")
-    if any(g < 0 for g in values):
+    if any(g < 0 for g in numbers):
         raise ValueError(f"negative load in grid {text!r}")
-    return values
+    return tuple(numbers)
 
 
 def _load_config(args: argparse.Namespace) -> SystemConfig:

@@ -32,17 +32,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
-from .model import (
-    InternalError,
-    SlotDegreeHistogram,
-    SystemConfig,
-    UserCode,
-    expected_initial_histogram,
-)
+from .model import InternalError, SystemConfig, UserCode, expected_initial_histogram
 
 EPSILON = 1e-9
 _BAND = 1e-9  # tolerance for float dust around [0, 1] before clamping
@@ -67,17 +63,16 @@ class DETrace:
     converged_to_zero: bool
 
 
-def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    """log C(n, k) from a table of log i!, each i! an exact integer product.
+def _log_factorials(n: int) -> np.ndarray:
+    """Table of log i! for i = 0..n, each i! an exact integer product.
 
     For i <= 12 the entry has the same bits as cephes' log-gamma at i + 1
     (scipy.special.gammaln), which math.lgamma does not; above that the two
     may differ in the last bits. The table costs O(n^2) big-integer work, a
-    few ms at n in the thousands.
+    few ms at n in the thousands, so a recursion run builds it once per n.
     """
     factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
-    log_fact = np.array([math.log(f) for f in factorials])
-    return log_fact[n] - log_fact[k] - log_fact[n - k]
+    return np.array([math.log(f) for f in factorials])
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -93,14 +88,24 @@ def decode_probability(code: UserCode, p: float) -> float:
     Computed as the binomial tail sum_{i=k}^{n} C(n,i) (1-p)^i p^(n-i) in
     log space.
     """
+    return _decode_probability(code, p, _log_factorials)
+
+
+def _decode_probability(
+    code: UserCode, p: float, log_factorials: Callable[[int], np.ndarray]
+) -> float:
+    """``decode_probability`` with the log-factorial tables from ``log_factorials``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
     if p == 0.0:
         return 1.0
     if p == 1.0:
         return 0.0
-    i = np.arange(code.k, code.n + 1)
-    log_terms = _log_binom(code.n, i) + i * np.log1p(-p) + (code.n - i) * np.log(p)
+    n = code.n
+    i = np.arange(code.k, n + 1)
+    log_fact = log_factorials(n)
+    log_binom = log_fact[n] - log_fact[i] - log_fact[n - i]
+    log_terms = log_binom + i * np.log1p(-p) + (n - i) * np.log(p)
     return _clamp_unit(float(np.exp(log_terms).sum()), "decode probability")
 
 
@@ -110,21 +115,18 @@ def system_q(config: SystemConfig, p: float) -> float:
     return _clamp_unit(1.0 - acc / config.n_users, "system q")
 
 
-def initial_erasure_probability(
-    histogram: SlotDegreeHistogram, ns: int, total_bursts: int
-) -> float:
-    """Fraction of bursts in collided slots under a slot-degree histogram.
+def initial_erasure_probability(config: SystemConfig) -> float:
+    """P_0: expected fraction of bursts in collided slots of a fresh frame.
 
-    Uses the histogram's exact slot counts when it was measured on a
-    placement, so the value matches ``decoder.empirical_p0`` exactly.
+    The collided mass sum_{d >= 2} d * pmf[d] of the expected slot-degree
+    law is summed in ascending d, then scaled by ns / total bursts.
     """
-    if total_bursts <= 0:
-        return 0.0
-    if histogram.counts is not None:
-        collided = sum(d * c for d, c in histogram.counts.items() if d >= 2)
-        return collided / total_bursts
-    collided_mass = sum(d * a for d, a in histogram.alpha.items() if d >= 2)
-    return collided_mass * ns / total_bursts
+    pmf = expected_initial_histogram(config).tolist()
+    collided_mass = sum(d * pmf[d] for d in range(2, len(pmf)))
+    return _clamp_unit(
+        collided_mass * config.ns / config.total_bursts,
+        "initial erasure probability",
+    )
 
 
 def _collided_mass(config: SystemConfig, survival: float) -> float:
@@ -162,18 +164,17 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
     n_vec = np.array([code.n for code, _ in codes], dtype=float)
     count_vec = np.array([count for _, count in codes], dtype=float)
 
-    initial = expected_initial_histogram(config)
-    p = _clamp_unit(
-        initial_erasure_probability(initial, ns, total),
-        "initial erasure probability",
-    )
+    log_factorials = cache(_log_factorials)  # one table per distinct n per run
+    p = initial_erasure_probability(config)
     survival = 1.0
     u_prev = np.ones(len(codes))
     q_prev = 1.0
     states: list[DEState] = []
     l = 0
     while True:
-        qbar = np.array([decode_probability(code, p) for code, _ in codes])
+        qbar = np.array(
+            [_decode_probability(code, p, log_factorials) for code, _ in codes]
+        )
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
             raise InternalError(f"q increased from {q_prev!r} to {q!r}")

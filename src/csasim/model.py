@@ -138,37 +138,6 @@ class FramePlacement:
         return int(self.slot_of_burst.size)
 
 
-@dataclass(frozen=True)
-class SlotDegreeHistogram:
-    """Fraction of slots holding d bursts, for each occurring degree d.
-
-    All ``ns`` slots count in the denominator, empty slots included, so the
-    fractions sum to one. ``counts`` carries the exact per-degree slot counts
-    when the histogram was measured on a placement (it is None for analytic
-    histograms).
-    """
-
-    alpha: dict[int, float]
-    counts: dict[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        total = sum(self.alpha.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"degree fractions must sum to 1, got {total!r}")
-
-    def as_array(self, max_degree: int | None = None) -> np.ndarray:
-        """Dense fraction vector indexed by degree 0..max_degree."""
-        top = max(self.alpha) if self.alpha else 0
-        if max_degree is None:
-            max_degree = top
-        elif max_degree < top:
-            raise ValueError(f"max_degree {max_degree} < largest degree {top}")
-        out = np.zeros(max_degree + 1)
-        for d, a in self.alpha.items():
-            out[d] = a
-        return out
-
-
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Random stream for one frame, a pure function of (seed, frame_index).
 
@@ -211,28 +180,20 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst, degree_of_slot=degree)
 
 
-def degree_histogram(placement: FramePlacement) -> SlotDegreeHistogram:
-    """Measure the slot-degree distribution of a placement."""
-    counts = np.bincount(placement.degree_of_slot)
-    ns = placement.ns
-    alpha = {int(d): int(c) / ns for d, c in enumerate(counts) if c}
-    exact = {int(d): int(c) for d, c in enumerate(counts) if c}
-    return SlotDegreeHistogram(alpha=alpha, counts=exact)
+def expected_initial_histogram(config: SystemConfig) -> np.ndarray:
+    """Exact expected slot-degree law under the placement model.
 
-
-def expected_initial_histogram(config: SystemConfig) -> SlotDegreeHistogram:
-    """Exact expected slot-degree distribution under the placement model.
-
-    A slot's degree is a sum of independent Bernoulli(n_i / ns) indicators,
-    one per user, i.e. Poisson-binomial; the distribution is built by dynamic
-    programming over users.
+    Entry d of the returned float64 vector (length ``n_users + 1``) is the
+    probability that a slot holds d bursts. A slot's degree is a sum of
+    independent Bernoulli(n_i / ns) indicators, one per user, i.e.
+    Poisson-binomial; the law is built by dynamic programming over users.
+    The measured law of a placement is
+    ``np.bincount(placement.degree_of_slot) / placement.ns``.
     """
-    nu = config.n_users
-    dist = np.zeros(nu + 1)
+    dist = np.zeros(config.n_users + 1)
     dist[0] = 1.0
     for u in config.users:
         pr = u.n / config.ns
         dist[1:] = dist[1:] * (1.0 - pr) + dist[:-1] * pr
         dist[0] *= 1.0 - pr
-    alpha = {int(d): float(a) for d, a in enumerate(dist) if a > 0.0}
-    return SlotDegreeHistogram(alpha=alpha)
+    return dist

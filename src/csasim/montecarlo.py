@@ -110,11 +110,17 @@ def _simulate_range(
 
 
 def _process_count(workers: int, frames: int) -> int:
-    """Processes to use: at most one per CPU and per frame.
+    """Processes to use: at most one per usable CPU and per frame.
 
-    The result does not depend on it, since frames are keyed by index.
+    Usable CPUs are those this process may run on (its affinity set, where
+    the platform reports one). The result does not depend on the count,
+    since frames are keyed by index.
     """
-    return min(workers, frames, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, frames, cpus)
 
 
 def run_trials(

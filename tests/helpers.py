@@ -8,12 +8,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from csasim import FramePlacement, SystemConfig, UserCode
+
+
+def set_usable_cpus(monkeypatch, count: int) -> None:
+    """Make the package see ``count`` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:

@@ -5,7 +5,6 @@ use 2000 frames per load point (the analytic-agreement check uses 100k
 frames of a small system); the whole suite completes in a few minutes.
 """
 import math
-import os
 import random
 
 import numpy as np
@@ -29,6 +28,7 @@ from helpers import (
     make_placement,
     peel_oracle,
     random_instance,
+    set_usable_cpus,
 )
 
 G_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
@@ -230,7 +230,7 @@ def test_ac6_property_suite(monkeypatch):
     checks.append(("decode probability exact to 1e-12", exact))
 
     # bitwise reproducibility across worker counts, split 4 ways on any host
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    set_usable_cpus(monkeypatch, 4)
     config = SystemConfig(ns=60, users=(UserCode(3, 1),) * 20, seed=SEED)
     serial = run_trials(config, 400, workers=1)
     repro = serial == run_trials(config, 400, workers=2) == run_trials(config, 400, workers=4)

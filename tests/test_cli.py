@@ -337,6 +337,30 @@ class TestCommandLine:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,grid",
+        [
+            ("sweep", "inf"),
+            ("sweep", "1e400"),
+            ("sweep", "0:inf:0.1"),
+            ("sweep", "nan"),
+            ("baseline", "nan,inf"),
+        ],
+    )
+    def test_non_finite_grid_exits_1_with_one_line(
+        self, tmp_path, config_file, capsys, command, grid
+    ):
+        out = tmp_path / "x.csv"
+        if command == "sweep":
+            flags = ["--config", str(config_file), "--frames", "2"]
+        else:
+            flags = ["--variant", "slotted"]
+        code = main([command, "--g", grid, "--out", str(out)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad load grid {grid!r} (values must be finite)\n"
+        assert not out.exists()
+
     def test_negative_frame_index_exits_1_with_one_line(self, tmp_path, config_file, capsys):
         out = tmp_path / "x.csv"
         code = main(
@@ -420,8 +444,9 @@ class TestCommandLine:
 
 
 # exact `de` output (config text, CSV text) for the AC-4 config and the
-# three benchmark configs; the same numbers come from dense histogram
-# thinning, which the closed-form recursion must reproduce byte for byte
+# three benchmark configs, where the closed-form recursion must reproduce the
+# numbers of dense histogram thinning byte for byte, and for a mixture with
+# large codes, recorded before the log-factorial table was shared per run
 DE_PINNED = {
     "ac4": (
         "ns=100\nusers=10x(5,2)\n",
@@ -464,6 +489,20 @@ l,p,q,beta
 4,0.177277,0.0055713,0.948048
 5,0.00927575,7.9808e-07,0.999857
 6,1.32874e-06,0,1
+""",
+    ),
+    # codes with n >= 13 take log C(n, i) from the exact log-factorial table
+    "large-n": (
+        "ns=6000\nusers=2x(2667,1000) 1500x(3,1)\n",
+        """\
+l,p,q,beta
+0,0.790979,0.495546,0.504454
+1,0.658822,0.286909,0.421024
+2,0.561518,0.176813,0.383734
+3,0.3494,0.042598,0.759078
+4,0.0845782,0.000604222,0.985816
+5,0.00119979,1.72478e-09,0.999997
+6,3.42485e-09,1.11022e-16,1
 """,
     ),
 }
@@ -563,6 +602,13 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    # a deleted name must leave __all__ too
+    import csasim
+
+    assert [name for name in csasim.__all__ if not hasattr(csasim, name)] == []
 
 
 def test_package_source_has_no_assert():

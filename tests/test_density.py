@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,20 +13,19 @@ from csasim import (
     de_iterate,
     de_predicted_plr,
     decode_probability,
-    degree_histogram,
     empirical_p0,
     initial_erasure_probability,
-    place_frame,
+    parse_config,
     run_trials,
     system_q,
 )
+from csasim import density
 from csasim.density import _collided_mass
 from helpers import (
     binomial_tail_by_enumeration,
     collided_mass_by_thinning,
     exact_binomial_tail,
     make_placement,
-    random_instance,
 )
 
 
@@ -110,17 +110,38 @@ class TestSystemQ:
         assert system_q(config, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestInitialErasureIdentity:
-    def test_exact_equality_with_empirical_p0(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            config, slots = random_instance(rng, max_users=6, max_ns=8, max_n=4)
-            placement = make_placement(config.ns, slots)
-            hist = degree_histogram(placement)
-            via_hist = initial_erasure_probability(
-                hist, config.ns, config.total_bursts
+class TestInitialErasureProbability:
+    def test_two_singleton_users(self):
+        # degrees 0/1/2 with probability 1/4, 1/2, 1/4: half the bursts collide
+        config = homogeneous(2, 1, 1, 2)
+        assert initial_erasure_probability(config) == 0.5
+
+    @pytest.mark.parametrize(
+        "ns, codes", [(3, [(2, 1), (1, 1), (1, 1)]), (4, [(2, 1), (3, 2), (1, 1)])]
+    )
+    def test_is_mean_of_empirical_p0_over_all_placements(self, ns, codes):
+        config = SystemConfig(ns=ns, users=tuple(UserCode(*c) for c in codes))
+        pools = [list(combinations(range(ns), n)) for n, _ in codes]
+        values = [
+            empirical_p0(make_placement(ns, [list(c) for c in choice]))
+            for choice in product(*pools)
+        ]
+        mean = sum(values) / len(values)
+        assert initial_erasure_probability(config) == pytest.approx(mean, abs=1e-12)
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda ns: st.tuples(
+                st.just(ns), st.lists(st.integers(1, ns), min_size=1, max_size=12)
             )
-            assert via_hist == empirical_p0(placement)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_closed_form_collided_mass(self, frame):
+        ns, lengths = frame
+        config = SystemConfig(ns=ns, users=tuple(UserCode(n, 1) for n in lengths))
+        want = _collided_mass(config, 1.0) * ns / config.total_bursts
+        assert initial_erasure_probability(config) == pytest.approx(want, abs=1e-12)
 
 
 class TestCollidedMass:
@@ -227,6 +248,14 @@ class TestDeIterate:
             assert 0.0 <= state.beta <= 1.0
         qs = [s.q for s in trace.states]
         assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
+
+    def test_log_factorial_table_built_once_per_code_length(self, monkeypatch):
+        built = []
+        build = density._log_factorials
+        monkeypatch.setattr(density, "_log_factorials", lambda n: built.append(n) or build(n))
+        trace = de_iterate(parse_config("ns=6000\nusers=2x(2667,1000) 1500x(3,1)\n"))
+        assert len(trace.states) == 7
+        assert sorted(built) == [3, 2667]
 
     def test_light_load_converges_heavy_load_does_not(self):
         light = de_iterate(homogeneous(100, 3, 1, 10))

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from csasim import (
-    SlotDegreeHistogram,
-    SystemConfig,
-    UserCode,
-    degree_histogram,
-    expected_initial_histogram,
-    place_frame,
-)
+from csasim import SystemConfig, UserCode, expected_initial_histogram, place_frame
 from helpers import slots_by_user
 
 
@@ -172,50 +165,54 @@ class TestPlaceFrame:
         assert np.array_equal(recounted, placement.degree_of_slot)
 
 
+def degree_law(placement):
+    """Measured slot-degree law of a placement: fraction of slots per degree."""
+    return np.bincount(placement.degree_of_slot) / placement.ns
+
+
+def nonzero(law):
+    return {d: a for d, a in enumerate(law.tolist()) if a}
+
+
 class TestDegreeHistogram:
     def test_forced_placement(self):
         config = SystemConfig(ns=2, users=(UserCode(2, 2), UserCode(2, 2)), seed=5)
-        hist = degree_histogram(place_frame(config, 0))
-        assert hist.alpha == {2: 1.0}
+        assert nonzero(degree_law(place_frame(config, 0))) == {2: 1.0}
 
     def test_single_user_full_frame(self):
         config = SystemConfig(ns=4, users=(UserCode(4, 1),), seed=3)
-        hist = degree_histogram(place_frame(config, 0))
-        assert hist.alpha == {1: 1.0}
+        assert nonzero(degree_law(place_frame(config, 0))) == {1: 1.0}
 
     @given(small_configs(), st.integers(0, 20))
     @settings(max_examples=100, deadline=None)
     def test_burst_mass_identity(self, config, frame_index):
-        hist = degree_histogram(place_frame(config, frame_index))
-        mass = sum(d * a for d, a in hist.alpha.items()) * config.ns
+        law = degree_law(place_frame(config, frame_index))
+        mass = sum(d * a for d, a in enumerate(law)) * config.ns
         assert mass == pytest.approx(config.total_bursts, abs=1e-9)
-        assert sum(hist.alpha.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_normalized(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            SlotDegreeHistogram(alpha={0: 0.5, 1: 0.4})
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectedInitialHistogram:
     def test_two_singleton_users_is_binomial(self):
         config = SystemConfig(ns=2, users=(UserCode(1, 1), UserCode(1, 1)))
         hist = expected_initial_histogram(config)
-        assert hist.alpha[0] == pytest.approx(0.25, abs=1e-15)
-        assert hist.alpha[1] == pytest.approx(0.5, abs=1e-15)
-        assert hist.alpha[2] == pytest.approx(0.25, abs=1e-15)
+        assert hist[0] == pytest.approx(0.25, abs=1e-15)
+        assert hist[1] == pytest.approx(0.5, abs=1e-15)
+        assert hist[2] == pytest.approx(0.25, abs=1e-15)
 
     def test_single_user_two_point(self):
         config = SystemConfig(ns=10, users=(UserCode(3, 1),))
         hist = expected_initial_histogram(config)
-        assert hist.alpha[0] == pytest.approx(0.7, abs=1e-15)
-        assert hist.alpha[1] == pytest.approx(0.3, abs=1e-15)
-        assert set(hist.alpha) == {0, 1}
+        assert hist[0] == pytest.approx(0.7, abs=1e-15)
+        assert hist[1] == pytest.approx(0.3, abs=1e-15)
+        assert set(nonzero(hist)) == {0, 1}
 
     @given(small_configs())
     @settings(max_examples=100, deadline=None)
     def test_normalized(self, config):
         hist = expected_initial_histogram(config)
-        assert sum(hist.alpha.values()) == pytest.approx(1.0, abs=1e-12)
+        assert hist.dtype == np.float64 and hist.shape == (config.n_users + 1,)
+        assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_empirical_average(self):
         config = SystemConfig(
@@ -223,7 +220,7 @@ class TestExpectedInitialHistogram:
             users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)),
             seed=21,
         )
-        expected = expected_initial_histogram(config).as_array(config.n_users)
+        expected = expected_initial_histogram(config)
         frames = 100_000
         samples = np.zeros((frames, config.n_users + 1))
         for j in range(frames):

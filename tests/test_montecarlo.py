@@ -21,7 +21,7 @@ from csasim import (
 from csasim import montecarlo
 from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
-from helpers import make_placement, random_instance
+from helpers import make_placement, random_instance, set_usable_cpus
 
 
 def homogeneous(ns, n, k, count, seed=0):
@@ -88,7 +88,7 @@ class TestRunTrials:
         assert a == b
 
     def test_bitwise_identical_across_worker_counts(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a 3-way split on any host
+        set_usable_cpus(monkeypatch, 3)  # a 3-way split on any host
         config = homogeneous(40, 3, 1, 12, seed=77)
         serial = run_trials(config, frames=240, workers=1)
         parallel = run_trials(config, frames=240, workers=3)
@@ -110,12 +110,21 @@ class TestRunTrials:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         config = homogeneous(40, 3, 1, 12, seed=77)
         capped = run_trials(config, frames=64, workers=64)
         assert started == [2]
         assert capped == run_trials(config, frames=64, workers=1)
+
+    def test_process_count_follows_affinity_then_cpu_count(self, monkeypatch):
+        # two CPUs in the machine, one of them usable, as under `taskset -c 0`
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 1)
+        assert montecarlo._process_count(64, 64) == 1
+        # a platform without an affinity call falls back on the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert montecarlo._process_count(64, 64) == 2
 
     def test_slotted_aloha_equivalence(self):
         # (1,1) users degenerate to classical slotted Aloha
@@ -202,7 +211,7 @@ class TestSweepLoad:
                     raise MemoryError("chunk too large")
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
         loads = [0.01, 0.2, 0.4, 0.6]
