@@ -40,6 +40,10 @@ from .montecarlo import (
 )
 
 
+# largest START:STOP:STEP grid, checked before any of its points is built
+MAX_GRID_POINTS = 10**6
+
+
 def parse_g_spec(text: str) -> tuple[float, ...]:
     """Parse a load grid: START:STOP:STEP (inclusive) or comma list."""
     ranged = ":" in text
@@ -56,7 +60,10 @@ def parse_g_spec(text: str) -> tuple[float, ...]:
         start, stop, step = numbers
         if step <= 0 or stop < start:
             raise ValueError(f"bad load grid {text!r} (need step > 0 and stop >= start)")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_GRID_POINTS:  # also catches an overflow to inf
+            raise ValueError(f"bad load grid {text!r} (more than {MAX_GRID_POINTS} points)")
+        count = int(math.floor(steps)) + 1
         numbers = [round(start + i * step, 12) for i in range(count)]
     if not numbers:
         raise ValueError(f"empty load grid {text!r}")

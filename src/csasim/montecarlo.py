@@ -11,10 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -123,32 +123,47 @@ def _process_count(workers: int, frames: int) -> int:
     return min(workers, frames, cpus)
 
 
+def _queue_chunks(
+    pool: ProcessPoolExecutor, config: SystemConfig, frames: int, processes: int
+) -> list[Future]:
+    """Queue one point's frames on ``pool`` as ``processes`` contiguous chunks.
+
+    The futures come back in frame-index order; the chunk bounds depend only
+    on ``frames`` and ``processes``.
+    """
+    bounds = np.linspace(0, frames, num=processes + 1, dtype=int)
+    return [
+        pool.submit(_simulate_range, config, start, stop)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 def run_trials(
     config: SystemConfig,
     frames: int,
     workers: int = 1,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    chunks: Sequence[Future] | None = None,
 ) -> TrialAggregate:
     """Average frame metrics over ``frames`` independent placements.
 
-    When more than one process is used, the chunks run on ``pool`` if it is
-    given, else on a pool started for this call.
+    ``chunks`` are this point's frames already queued on a sweep's pool (see
+    ``sweep_load``); their results are read here. Without them, more than one
+    process runs the chunks on a pool started for this call, and one process
+    simulates every frame in this one.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    workers = _process_count(workers, frames)
-    if workers <= 1:
-        t, plr, rounds = _simulate_range(config, 0, frames)
+    if chunks is not None:
+        parts = [chunk.result() for chunk in chunks]
+    elif (processes := _process_count(workers, frames)) > 1:
+        with ProcessPoolExecutor(processes) as pool:
+            parts = [chunk.result() for chunk in _queue_chunks(pool, config, frames, processes)]
     else:
-        bounds = np.linspace(0, frames, num=workers + 1, dtype=int)
-        starts, stops = bounds[:-1], bounds[1:]
-        with nullcontext(pool) if pool else ProcessPoolExecutor(workers) as executor:
-            chunks = executor.map(_simulate_range, [config] * workers, starts, stops)
-            parts = list(chunks)
-        # chunks are keyed by frame index, so concatenation reproduces the
-        # single-pass arrays bit for bit
-        t, plr, rounds = (np.concatenate(arrays) for arrays in zip(*parts))
+        parts = [_simulate_range(config, 0, frames)]
+    # chunks are keyed by frame index, so concatenation reproduces the
+    # single-pass arrays bit for bit
+    t, plr, rounds = (np.concatenate(arrays) for arrays in zip(*parts))
 
     def half_width(x: np.ndarray) -> float:
         if frames < 2:
@@ -212,17 +227,42 @@ def sweep_point(
     frames: int,
     workers: int = 1,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    chunks: Sequence[Future] | None = None,
 ) -> SweepPoint:
-    """Simulate one load point; ``codes`` name its n and k columns."""
+    """Simulate one load point; ``codes`` name its n and k columns, and
+    ``chunks`` are passed on to ``run_trials``."""
     return SweepPoint(
         g=normalized_load(config),
         ns=config.ns,
         n_label=";".join(str(code.n) for code in codes),
         k_label=";".join(str(code.k) for code in codes),
         seed=config.seed,
-        aggregate=run_trials(config, frames, workers=workers, pool=pool),
+        aggregate=run_trials(config, frames, workers=workers, chunks=chunks),
     )
+
+
+def _realizable(
+    template: UserCode | Mixture,
+    ns: int,
+    g_values: Sequence[float],
+    seed: int,
+    skipped: list[tuple[float, str]],
+) -> Iterator[SystemConfig]:
+    """Configurations of the realizable loads, built one at a time; every
+    unrealizable load is appended to ``skipped`` with its reason."""
+    for g in g_values:
+        users = users_for_load(template, ns, g)
+        if users is None:
+            skipped.append((g, "load too small for one user"))
+            logger.warning("skipping G=%g: load too small for one user", g)
+            continue
+        try:
+            config = SystemConfig(ns=ns, users=users, seed=seed)
+        except ValueError as exc:
+            skipped.append((g, str(exc)))
+            logger.warning("skipping G=%g: %s", g, exc)
+            continue
+        yield config
 
 
 def sweep_load(
@@ -236,31 +276,41 @@ def sweep_load(
     """Run one trial aggregate per requested load and locate the throughput peak.
 
     Unrealizable loads are skipped with a warning record; reported loads are
-    the realized sum(k_i) / ns, not the requested grid values. All points
-    share one process pool when more than one process is used.
+    the realized sum(k_i) / ns, not the requested grid values. When more than
+    one process is used, all points share one pool, and the next point's
+    chunks are queued before the current point's results are read, so no
+    worker idles between points; at most two points are outstanding. If a
+    point fails, the chunks still queued are cancelled.
     """
     # labels come from the mixture: a light load can apportion 0 users to a code
     codes = [code for code, _ in _as_mixture(template)]
 
-    points: list[SweepPoint] = []
     skipped: list[tuple[float, str]] = []
+    configs = _realizable(template, ns, g_values, seed, skipped)
+    first = next(configs, None)
+    if first is None:
+        raise ValueError("no realizable load values in sweep")
+    points: list[SweepPoint] = []
     processes = _process_count(workers, frames)
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
-        for g in g_values:
-            users = users_for_load(template, ns, g)
-            if users is None:
-                skipped.append((g, "load too small for one user"))
-                logger.warning("skipping G=%g: load too small for one user", g)
-                continue
-            try:
-                config = SystemConfig(ns=ns, users=users, seed=seed)
-            except ValueError as exc:
-                skipped.append((g, str(exc)))
-                logger.warning("skipping G=%g: %s", g, exc)
-                continue
-            points.append(sweep_point(config, codes, frames, workers, pool=pool))
-    if not points:
-        raise ValueError("no realizable load values in sweep")
+
+        def queue(config: SystemConfig) -> tuple[SystemConfig, list[Future] | None]:
+            chunks = None if pool is None else _queue_chunks(pool, config, frames, processes)
+            return config, chunks
+
+        def reduce(config: SystemConfig, chunks: list[Future] | None) -> SweepPoint:
+            return sweep_point(config, codes, frames, workers, chunks=chunks)
+
+        try:
+            queued = queue(first)
+            for config in configs:
+                following = queue(config)
+                points.append(reduce(*queued))
+                queued = following
+            points.append(reduce(*queued))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     points.sort(key=lambda pt: pt.g)
     return SweepResult(points=tuple(points), skipped=tuple(skipped))
 

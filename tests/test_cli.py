@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -298,7 +299,7 @@ class TestCommandLine:
     ):
         message = "Unable to allocate 72.8 TiB for an array with shape (10**13,)"
 
-        def too_large(config, frames, workers=1, *, pool=None):
+        def too_large(config, frames, workers=1, *, chunks=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(montecarlo, "run_trials", too_large)
@@ -326,7 +327,7 @@ class TestCommandLine:
     ):
         message = "A process in the process pool was terminated abruptly"
 
-        def worker_died(config, frames, workers=1, *, pool=None):
+        def worker_died(config, frames, workers=1, *, chunks=None):
             raise BrokenProcessPool(message)
 
         monkeypatch.setattr(montecarlo, "run_trials", worker_died)
@@ -360,6 +361,23 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err == f"error: bad load grid {grid!r} (values must be finite)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-10", "0:1e9:1e-9", "0:1:0.000001"])
+    def test_oversized_grid_exits_1_without_building_it(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        code = main(["baseline", "--variant", "slotted", "--g", grid, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad load grid {grid!r} (more than 1000000 points)\n"
+        assert peak < 2**20
+        assert not out.exists()
+
+    def test_grid_at_the_cap_is_built(self):
+        grid = parse_g_spec("0:0.999999:0.000001")
+        assert len(grid) == 10**6 and grid[-1] == 0.999999
 
     def test_negative_frame_index_exits_1_with_one_line(self, tmp_path, config_file, capsys):
         out = tmp_path / "x.csv"

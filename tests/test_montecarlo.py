@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from csasim import (
     frame_metrics,
     normalized_load,
     place_frame,
+    render_csv,
     run_trials,
     sweep_load,
     users_for_load,
@@ -26,6 +28,62 @@ from helpers import make_placement, random_instance, set_usable_cpus
 
 def homogeneous(ns, n, k, count, seed=0):
     return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
+
+
+class LazyChunk:
+    """Future of a recording pool: the chunk runs when its result is read."""
+
+    def __init__(self, pool, fn, args, fails):
+        self.pool, self.fn, self.args, self.fails = pool, fn, args, fails
+
+    def result(self):
+        config, start, _ = self.args
+        self.pool.log.append(("read", normalized_load(config), int(start)))
+        if self.fails:
+            raise MemoryError("chunk too large")
+        return self.fn(*self.args)
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor.
+
+    Class-level lists record each pool built (its worker count), each
+    context exit (the exception type or None), each shutdown (its
+    ``cancel_futures``), and the order in which chunks are queued and read.
+    Reading the chunk queued ``failing_chunk``-th (from 1) raises.
+    """
+
+    built, closed, shutdowns, log = [], [], [], []
+    failing_chunk = None
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+        self.submits = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed.append(exc[0])
+        return False
+
+    def submit(self, fn, *args):
+        assert fn is montecarlo._simulate_range  # looked up at call time
+        self.submits += 1
+        config, start, _ = args
+        self.log.append(("queue", normalized_load(config), int(start)))
+        return LazyChunk(self, fn, args, self.submits == self.failing_chunk)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Patch ProcessPoolExecutor with a fresh RecordingPool class."""
+    pool = type("Pool", (RecordingPool,), {"built": [], "closed": [], "shutdowns": [], "log": []})
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+    return pool
 
 
 class TestNormalizedLoad:
@@ -94,27 +152,11 @@ class TestRunTrials:
         parallel = run_trials(config, frames=240, workers=3)
         assert serial == parallel
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_workers_capped_at_cpu_count(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         config = homogeneous(40, 3, 1, 12, seed=77)
         capped = run_trials(config, frames=64, workers=64)
-        assert started == [2]
+        assert recording_pool.built == [2]
         assert capped == run_trials(config, frames=64, workers=1)
 
     def test_process_count_follows_affinity_then_cpu_count(self, monkeypatch):
@@ -188,31 +230,9 @@ class TestSweepLoad:
         with pytest.raises(ValueError, match="no realizable"):
             sweep_load(UserCode(4, 2), ns=10, g_values=[0.01], frames=10)
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        built, closed = [], []
-
-        class SerialPool:
-            fail_at_map = None
-
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                self.maps = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                closed.append(exc[0])
-                return False
-
-            def map(self, fn, *iterables):
-                self.maps += 1
-                if self.maps == self.fail_at_map:
-                    raise MemoryError("chunk too large")
-                return map(fn, *iterables)
-
+    def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
+        built, closed = recording_pool.built, recording_pool.closed
         set_usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
         loads = [0.01, 0.2, 0.4, 0.6]
         sweep = lambda workers: sweep_load(
@@ -225,10 +245,89 @@ class TestSweepLoad:
         assert built == [2]
 
         # a point failing inside the pool still shuts the pool down
-        SerialPool.fail_at_map = 2
+        recording_pool.failing_chunk = 3  # the second point's first chunk
         with pytest.raises(MemoryError):
             sweep(2)
         assert built == [2, 2] and closed == [None, MemoryError]
+
+    SCHEDULED_LOADS = [0.2, 0.01, 0.4, 0.6, 0.8]  # 0.01 is below one user at ns=40
+
+    def scheduled_sweep(self, workers=2):
+        mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
+        return sweep_load(
+            mixture, ns=40, g_values=self.SCHEDULED_LOADS, frames=30, seed=5, workers=workers
+        )
+
+    @staticmethod
+    def most_points_outstanding(log):
+        """Most points with a chunk queued and not yet read at any one time."""
+        unread, most = Counter(), 0
+        for event, g, _ in log:
+            unread[g] += 1 if event == "queue" else -1
+            most = max(most, sum(1 for count in unread.values() if count))
+        return most
+
+    def test_next_point_queued_before_current_is_read(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        result = self.scheduled_sweep()
+        log = recording_pool.log
+        loads = [pt.g for pt in result.points]
+        assert [g for event, g, _ in log if event == "read"] == [g for g in loads for _ in "ab"]
+        for current, following in zip(loads, loads[1:]):
+            last_queue = max(i for i, (e, g, _) in enumerate(log) if (e, g) == ("queue", following))
+            first_read = min(i for i, (e, g, _) in enumerate(log) if (e, g) == ("read", current))
+            assert last_queue < first_read
+        # each point is read in frame-index order, on the np.linspace chunk bounds
+        for g in loads:
+            assert [start for e, h, start in log if (e, h) == ("read", g)] == [0, 15]
+        assert self.most_points_outstanding(log) == 2
+        assert recording_pool.built == [2] and recording_pool.closed == [None]
+
+    def test_failing_point_cancels_the_queued_one(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        recording_pool.failing_chunk = 3  # the second point's first chunk
+        with pytest.raises(MemoryError):
+            self.scheduled_sweep()
+        reads = [g for event, g, _ in recording_pool.log if event == "read"]
+        queued = sorted({g for event, g, _ in recording_pool.log if event == "queue"})
+        # the third point was queued, then cancelled without being read
+        assert len(queued) == 3 and queued[2] not in reads
+        assert recording_pool.shutdowns == [True]
+        assert recording_pool.closed == [MemoryError]
+
+    def test_all_unrealizable_starts_no_pool(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="no realizable"):
+            sweep_load(UserCode(4, 2), ns=10, g_values=[0.01, 0.02], frames=10, workers=2)
+        assert recording_pool.built == []
+
+    def test_one_run_trials_call_per_realizable_point(self, monkeypatch):
+        calls, chunks = [], []
+
+        def counted(wrapped, record):
+            def call(*args, **kwargs):
+                record.append(args[1:3])
+                return wrapped(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(montecarlo, "run_trials", counted(montecarlo.run_trials, calls))
+        monkeypatch.setattr(
+            montecarlo, "_simulate_range", counted(montecarlo._simulate_range, chunks)
+        )
+        set_usable_cpus(monkeypatch, 1)
+        self.scheduled_sweep(workers=1)
+        assert len(calls) == len(self.SCHEDULED_LOADS) - 1
+        assert chunks == [(0, 30)] * len(calls)
+
+    def test_csv_bytes_identical_across_usable_cpus(self, monkeypatch):
+        texts = []
+        for cpus in (1, 2, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            result = self.scheduled_sweep(workers=3)
+            assert len(result.points) == 4 and result.skipped[0][0] == 0.01
+            texts.append(render_csv(result))
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestBaseline:
