@@ -13,10 +13,8 @@ from .density import (
     DEState,
     DETrace,
     de_iterate,
-    de_predicted_plr,
     decode_probability,
     initial_erasure_probability,
-    system_q,
 )
 from .model import (
     FramePlacement,
@@ -61,7 +59,6 @@ __all__ = [
     "aloha_baseline",
     "baseline_curve",
     "de_iterate",
-    "de_predicted_plr",
     "decode_frame",
     "decode_probability",
     "emit_csv",
@@ -78,6 +75,5 @@ __all__ = [
     "render_csv",
     "run_trials",
     "sweep_load",
-    "system_q",
     "users_for_load",
 ]

@@ -15,8 +15,11 @@ tracked by a recursion under an independence assumption:
   with probability n / ns. Removing each burst independently with the
   fraction ``rho_l`` of remaining bursts decoded in round l keeps it
   Poisson-binomial, with every occupancy probability scaled by the survival
-  factor ``s = prod(1 - rho_l)``. The recursion carries only ``s`` and takes
-  the collided mass of the thinned degree in closed form (``_collided_mass``).
+  factor ``s_l = prod(1 - rho_l)``. The product telescopes to the
+  burst-weighted undecoded share sum_g n_g c_g (1 - D_g(P_l)) / total bursts,
+  the burst-weighted counterpart of Q_l (equal to it for a single code), so
+  the recursion computes ``s_l`` directly and takes the collided mass of the
+  thinned degree in closed form (``_collided_mass``).
   The next erasure probability blends the resulting collided fraction with
   the previous one, weighted by beta and re-normalised by the linear
   remaining-burst factor (1 - l / n_users).
@@ -26,6 +29,9 @@ progress (a deadlock fixpoint), or after n_users rounds. Progress-halting
 keeps every recorded probability in [0, 1] and Q non-increasing; the raw
 update could otherwise drift upward in saturated regimes where the linear
 remaining-burst factor undershoots the actual remaining population.
+
+Each binomial tail takes log C(n, i) from an exact log-factorial table that
+a process builds once per distinct n.
 """
 from __future__ import annotations
 
@@ -34,7 +40,6 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -63,13 +68,14 @@ class DETrace:
     converged_to_zero: bool
 
 
+@cache
 def _log_factorials(n: int) -> np.ndarray:
     """Table of log i! for i = 0..n, each i! an exact integer product.
 
     For i <= 12 the entry has the same bits as cephes' log-gamma at i + 1
     (scipy.special.gammaln), which math.lgamma does not; above that the two
     may differ in the last bits. The table costs O(n^2) big-integer work, a
-    few ms at n in the thousands, so a recursion run builds it once per n.
+    few ms at n in the thousands, so a process builds it once per n.
     """
     factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
     return np.array([math.log(f) for f in factorials])
@@ -88,13 +94,6 @@ def decode_probability(code: UserCode, p: float) -> float:
     Computed as the binomial tail sum_{i=k}^{n} C(n,i) (1-p)^i p^(n-i) in
     log space.
     """
-    return _decode_probability(code, p, _log_factorials)
-
-
-def _decode_probability(
-    code: UserCode, p: float, log_factorials: Callable[[int], np.ndarray]
-) -> float:
-    """``decode_probability`` with the log-factorial tables from ``log_factorials``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
     if p == 0.0:
@@ -103,16 +102,10 @@ def _decode_probability(
         return 0.0
     n = code.n
     i = np.arange(code.k, n + 1)
-    log_fact = log_factorials(n)
+    log_fact = _log_factorials(n)
     log_binom = log_fact[n] - log_fact[i] - log_fact[n - i]
     log_terms = log_binom + i * np.log1p(-p) + (n - i) * np.log(p)
     return _clamp_unit(float(np.exp(log_terms).sum()), "decode probability")
-
-
-def system_q(config: SystemConfig, p: float) -> float:
-    """Population-average non-decode probability at erasure rate p."""
-    acc = sum(count * decode_probability(code, p) for code, count in config.code_groups)
-    return _clamp_unit(1.0 - acc / config.n_users, "system q")
 
 
 def initial_erasure_probability(config: SystemConfig) -> float:
@@ -161,20 +154,15 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
     ns = config.ns
     total = config.total_bursts
     codes = config.code_groups
-    n_vec = np.array([code.n for code, _ in codes], dtype=float)
     count_vec = np.array([count for _, count in codes], dtype=float)
+    bursts_vec = np.array([code.n for code, _ in codes], dtype=float) * count_vec
 
-    log_factorials = cache(_log_factorials)  # one table per distinct n per run
     p = initial_erasure_probability(config)
-    survival = 1.0
-    u_prev = np.ones(len(codes))
     q_prev = 1.0
     states: list[DEState] = []
     l = 0
     while True:
-        qbar = np.array(
-            [_decode_probability(code, p, log_factorials) for code, _ in codes]
-        )
+        qbar = np.array([decode_probability(code, p) for code, _ in codes])
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
             raise InternalError(f"q increased from {q_prev!r} to {q!r}")
@@ -188,22 +176,13 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
         if q < epsilon:
             break
 
-        # burst-weighted share of remaining bursts removed this round
-        # (reduces to beta for a homogeneous population)
-        u_now = 1.0 - qbar
-        remaining_weight = float((n_vec * count_vec * u_prev).sum())
-        if remaining_weight > epsilon:
-            rho = float((n_vec * count_vec * (u_prev - u_now)).sum()) / remaining_weight
-            rho = min(max(rho, 0.0), 1.0)
-        else:
-            rho = 0.0
-        survival *= 1.0 - rho
+        # burst-weighted undecoded share: the product of (1 - rho_l) telescopes
+        survival = float((bursts_vec * (1.0 - qbar)).sum()) / total
         bracket = _collided_mass(config, survival) * ns / (total * (1.0 - l / nu))
         p_raw = bracket * beta + p * (1.0 - beta)
         if p_raw >= p - epsilon:
             break  # no progress: the recursion reached its fixpoint
         p = _clamp_unit(p_raw, "p")
-        u_prev = u_now
         q_prev = q
         l += 1
         if l >= nu:
@@ -215,9 +194,3 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
         predicted_plr=final_q,
         converged_to_zero=final_q < epsilon,
     )
-
-
-def de_predicted_plr(config: SystemConfig, epsilon: float = EPSILON) -> float:
-    """Limit non-decode probability predicted by the recursion."""
-    return de_iterate(config, epsilon=epsilon).predicted_plr
-

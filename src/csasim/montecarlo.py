@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -207,11 +208,15 @@ def users_for_load(
     """User population realizing load g as closely as integer counts allow.
 
     The user count is round(ns * g / mean k); returns None when that count
-    is below one, i.e. the load is not realizable at this frame size.
+    is below one, i.e. the load is not realizable at this frame size, and
+    raises ValueError when it is not finite or exceeds ``sys.maxsize``.
     """
     mixture = _as_mixture(template)
     k_mean = sum(w * c.k for c, w in mixture) / sum(w for _, w in mixture)
-    nu = round(ns * g / k_mean)
+    exact = ns * g / k_mean
+    if not exact <= sys.maxsize:  # also catches inf and nan
+        raise ValueError(f"load G={g:g} needs {exact:g} users, more than {sys.maxsize}")
+    nu = round(exact)
     if nu < 1:
         return None
     counts = _apportion([w for _, w in mixture], nu)

@@ -362,6 +362,19 @@ class TestCommandLine:
         assert err == f"error: bad load grid {grid!r} (values must be finite)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("g", ["1e306", "1e300"])
+    def test_load_beyond_any_user_count_exits_1_with_one_line(self, tmp_path, capsys, g):
+        config = tmp_path / "exp.cfg"
+        config.write_text("ns=400\nusers=302x(3,1)\n")
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--config", str(config), "--g", g, "--frames", "2", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: load G={float(g):g} needs ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:1e308:1e-10", "0:1e9:1e-9", "0:1:0.000001"])
     def test_oversized_grid_exits_1_without_building_it(self, tmp_path, capsys, grid):
         out = tmp_path / "x.csv"
@@ -639,6 +652,22 @@ def test_package_source_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_source_imports_no_private_name_across_modules():
+    # montecarlo's `_peel` import goes once the benchmark stops tracing `_peel`
+    # by name (ROADMAP item 1) and the batched peel becomes public (item 5)
+    allowed = {("montecarlo.py", "decoder", "_peel")}
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        (path.name, node.module, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert [entry for entry in found if entry not in allowed] == []
 
 
 class TestCsvFormatting:

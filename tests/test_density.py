@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
@@ -11,13 +11,11 @@ from csasim import (
     SystemConfig,
     UserCode,
     de_iterate,
-    de_predicted_plr,
     decode_probability,
     empirical_p0,
     initial_erasure_probability,
     parse_config,
     run_trials,
-    system_q,
 )
 from csasim import density
 from csasim.density import _collided_mass
@@ -93,23 +91,6 @@ class TestDecodeProbability:
             decode_probability(UserCode(2, 1), 1.1)
 
 
-class TestSystemQ:
-    def test_zero_erasure(self):
-        assert system_q(homogeneous(10, 3, 1, 4), 0.0) == 0.0
-
-    def test_homogeneous_reduction(self):
-        config = homogeneous(20, 4, 2, 7)
-        for p in (0.1, 0.4, 0.9):
-            assert system_q(config, p) == pytest.approx(
-                1.0 - decode_probability(UserCode(4, 2), p), abs=1e-12
-            )
-
-    def test_two_code_average(self):
-        config = SystemConfig(ns=4, users=(UserCode(2, 1), UserCode(2, 2)))
-        # (2,1): 0.75 decodable at p=1/2; (2,2): 0.25
-        assert system_q(config, 0.5) == pytest.approx(0.5, abs=1e-12)
-
-
 class TestInitialErasureProbability:
     def test_two_singleton_users(self):
         # degrees 0/1/2 with probability 1/4, 1/2, 1/4: half the bursts collide
@@ -179,6 +160,35 @@ class TestCollidedMass:
         assert _collided_mass(config, 1.0) == 3.0
 
 
+def fuzzed_mixtures(test):
+    """Run ``test(self, frame)`` on fuzzed ``(ns, [((n, k), count), ...])`` mixtures."""
+    test = settings(max_examples=300, deadline=None)(test)
+    for frame in [
+        (20, [((15, 4), 3), ((13, 13), 2)]),  # n >= 13 and n > ns / 2
+        (40, [((13, 2), 8), ((3, 1), 8)]),  # n >= 13 below ns / 2
+        (30, [((30, 1), 2), ((2, 1), 8), ((16, 9), 1)]),  # a code fills the frame
+        (1, [((1, 1), 8)]),
+    ]:
+        test = example(frame)(test)
+    return given(
+        st.integers(1, 64).flatmap(
+            lambda ns: st.tuples(
+                st.just(ns),
+                st.lists(
+                    st.tuples(
+                        st.integers(1, ns).flatmap(
+                            lambda n: st.tuples(st.just(n), st.integers(1, n))
+                        ),
+                        st.integers(1, 8),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )(test)
+
+
 class TestDeIterate:
     def test_single_user(self):
         trace = de_iterate(homogeneous(10, 4, 2, 1))
@@ -194,7 +204,7 @@ class TestDeIterate:
         assert trace.states[0].p == 1.0
         assert trace.predicted_plr == 1.0
         assert not trace.converged_to_zero
-        assert de_predicted_plr(homogeneous(2, 2, 2, 2)) == 1.0
+        assert de_iterate(homogeneous(2, 2, 2, 2)).predicted_plr == 1.0
 
     def test_states_in_range_and_q_monotone(self):
         rng = random.Random(77)
@@ -215,28 +225,7 @@ class TestDeIterate:
             assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
             assert trace.predicted_plr == qs[-1]
 
-    @given(
-        st.integers(1, 64).flatmap(
-            lambda ns: st.tuples(
-                st.just(ns),
-                st.lists(
-                    st.tuples(
-                        st.integers(1, ns).flatmap(
-                            lambda n: st.tuples(st.just(n), st.integers(1, n))
-                        ),
-                        st.integers(1, 8),
-                    ),
-                    min_size=1,
-                    max_size=4,
-                ),
-            )
-        )
-    )
-    @example((20, [((15, 4), 3), ((13, 13), 2)]))  # n >= 13 and n > ns / 2
-    @example((40, [((13, 2), 8), ((3, 1), 8)]))  # n >= 13 below ns / 2
-    @example((30, [((30, 1), 2), ((2, 1), 8), ((16, 9), 1)]))  # a code fills the frame
-    @example((1, [((1, 1), 8)]))
-    @settings(max_examples=300, deadline=None)
+    @fuzzed_mixtures
     def test_fuzzed_mixtures_in_range_and_q_monotone(self, frame):
         ns, groups = frame
         users = tuple(UserCode(n, k) for (n, k), count in groups for _ in range(count))
@@ -249,12 +238,30 @@ class TestDeIterate:
         qs = [s.q for s in trace.states]
         assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
 
+    @fuzzed_mixtures
+    def test_q_is_population_average_non_decode_probability(self, frame):
+        ns, groups = frame
+        users = tuple(UserCode(n, k) for (n, k), count in groups for _ in range(count))
+        config = SystemConfig(ns=ns, users=users)
+        for state in de_iterate(config).states:
+            decoded = sum(
+                count * decode_probability(code, state.p)
+                for code, count in config.code_groups
+            )
+            assert state.q == pytest.approx(1.0 - decoded / len(users), rel=0, abs=1e-12)
+
     def test_log_factorial_table_built_once_per_code_length(self, monkeypatch):
         built = []
-        build = density._log_factorials
-        monkeypatch.setattr(density, "_log_factorials", lambda n: built.append(n) or build(n))
-        trace = de_iterate(parse_config("ns=6000\nusers=2x(2667,1000) 1500x(3,1)\n"))
-        assert len(trace.states) == 7
+
+        def counting_accumulate(values, *args, **kwargs):  # one call per table of n
+            built.append(len(values))
+            return accumulate(values, *args, **kwargs)
+
+        monkeypatch.setattr(density, "accumulate", counting_accumulate)
+        density._log_factorials.cache_clear()
+        config = parse_config("ns=6000\nusers=2x(2667,1000) 1500x(3,1)\n")
+        traces = [de_iterate(config) for _ in range(2)]
+        assert [len(trace.states) for trace in traces] == [7, 7]
         assert sorted(built) == [3, 2667]
 
     def test_light_load_converges_heavy_load_does_not(self):
@@ -267,7 +274,7 @@ class TestDeIterate:
     def test_predicted_plr_near_monte_carlo(self):
         # light version of the acceptance comparison
         config = homogeneous(100, 5, 2, 10, seed=3)
-        predicted = de_predicted_plr(config)
+        predicted = de_iterate(config).predicted_plr
         simulated = run_trials(config, 20_000).plr_mean
         assert abs(predicted - simulated) <= 0.05
 
