@@ -27,7 +27,6 @@ from .model import (
 )
 from .montecarlo import (
     BaselineCurve,
-    SweepPoint,
     SweepResult,
     TrialAggregate,
     aloha_baseline,
@@ -51,7 +50,6 @@ __all__ = [
     "FramePlacement",
     "InternalError",
     "RoundRecord",
-    "SweepPoint",
     "SweepResult",
     "SystemConfig",
     "TrialAggregate",

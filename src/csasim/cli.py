@@ -8,9 +8,10 @@ Subcommands:
     trace     --config F --frame-index J --out F.csv
     baseline  --variant slotted|pure --g GRID --out F.csv
 
-Load grids are START:STOP:STEP (inclusive) or a comma-separated list. All
-behaviour is controlled by flags; environment variables are ignored so a
-command line fully reproduces a result.
+Load grids are START:STOP:STEP (inclusive) or a comma-separated list, and
+N is between 1 and sys.maxsize. All behaviour is controlled by flags;
+environment variables are ignored so a command line fully reproduces a
+result.
 
 Exit status: 0 on success, 1 on bad input, an I/O error, an allocation
 that does not fit in memory or a worker process that died (one ``error:``
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from typing import Callable
 
@@ -35,8 +36,8 @@ from .montecarlo import (
     BaselineCurve,
     SweepResult,
     baseline_curve,
+    run_trials,
     sweep_load,
-    sweep_point,
 )
 
 
@@ -81,8 +82,9 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
 
 def _simulate(args: argparse.Namespace) -> SweepResult:
     config = _load_config(args)
-    codes = [code for code, _ in config.code_groups]
-    return SweepResult(points=(sweep_point(config, codes, args.frames, args.workers),))
+    point = run_trials(config, args.frames, args.workers)
+    codes = tuple(code for code, _ in config.code_groups)
+    return SweepResult(ns=config.ns, codes=codes, seed=config.seed, points=(point,))
 
 
 def _sweep(args: argparse.Namespace) -> SweepResult:
@@ -160,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         emit_csv(args.run(args), args.out)
-    except (ConfigError, ValueError, OSError, BrokenProcessPool) as exc:
+    except (ConfigError, ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

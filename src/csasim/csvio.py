@@ -8,8 +8,9 @@ digits, rows in ascending round / load order):
     trace     l,newly_decoded,p_empirical,q_empirical
     baseline  g,throughput,variant
 
-``newly_decoded`` is a semicolon-joined list of user indices. Identical
-inputs always produce byte-identical files.
+A sweep row's ``n`` and ``k`` are the semicolon-joined n and k of the
+result's codes, and ``newly_decoded`` is a semicolon-joined list of user
+indices. Identical inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -35,18 +36,20 @@ def _fmt(value: float) -> str:
 
 def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[list[str], list[list[Any]]]:
     if isinstance(result, SweepResult):
+        n_label = ";".join(str(code.n) for code in result.codes)
+        k_label = ";".join(str(code.k) for code in result.codes)
         rows = [
             [
                 _fmt(pt.g),
-                pt.ns,
-                pt.n_label,
-                pt.k_label,
-                pt.aggregate.frames,
-                _fmt(pt.aggregate.t_mean),
-                _fmt(pt.aggregate.plr_mean),
-                _fmt(pt.aggregate.t_ci95),
-                _fmt(pt.aggregate.plr_ci95),
-                pt.seed,
+                result.ns,
+                n_label,
+                k_label,
+                pt.frames,
+                _fmt(pt.t_mean),
+                _fmt(pt.plr_mean),
+                _fmt(pt.t_ci95),
+                _fmt(pt.plr_ci95),
+                result.seed,
             ]
             for pt in result.points
         ]

@@ -168,13 +168,12 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
                 slot_of_burst[row] = np.sort(rng.choice(ns, size=n, replace=False))
             continue
         rows = np.sort(rng.integers(0, ns, size=at.shape), axis=1)
-        if n > 1:
-            while True:
-                bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-                n_bad = int(bad.sum())
-                if n_bad == 0:
-                    break
-                rows[bad] = np.sort(rng.integers(0, ns, size=(n_bad, n)), axis=1)
+        # only a row just redrawn can hold a repeat, so each pass tests those
+        bad = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        while bad.size:
+            drawn = np.sort(rng.integers(0, ns, size=(bad.size, n)), axis=1)
+            rows[bad] = drawn
+            bad = bad[(drawn[:, 1:] == drawn[:, :-1]).any(axis=1)]
         slot_of_burst[at] = rows
     degree = np.bincount(slot_of_burst, minlength=ns)
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst, degree_of_slot=degree)

@@ -4,18 +4,23 @@ Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
 Workers fill disjoint index ranges of one result array and the statistics
 are reduced over that array in index order, which makes aggregates
-bit-identical no matter how the work was split.
+bit-identical no matter how the work was split. A load sweep is one
+``SweepResult``: the frame size, user codes and seed it shares, stated once,
+and one ``TrialAggregate`` per realized load.
 """
 from __future__ import annotations
 
+# the package loads ProcessPoolExecutor, and with it multiprocessing, on its
+# first lookup, which is when a pool starts
+import concurrent.futures
 import logging
 import math
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,30 +51,28 @@ class TrialAggregate:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One load point of a sweep: realized load plus its aggregate."""
-
-    g: float
-    ns: int
-    n_label: str
-    k_label: str
-    seed: int
-    aggregate: TrialAggregate
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SweepPoint, ...]
+    """Trial aggregates of a load sweep, in ascending realized load.
+
+    ``ns``, ``codes`` (the user codes that label the n and k columns) and
+    ``seed`` are shared by every point; ``skipped`` lists each unrealizable
+    requested load with its reason.
+    """
+
+    ns: int
+    codes: tuple[UserCode, ...]
+    seed: int
+    points: tuple[TrialAggregate, ...]
     skipped: tuple[tuple[float, str], ...] = ()
 
     @property
     def argmax_g(self) -> float:
         """Load of the first point with the largest mean throughput."""
-        return max(self.points, key=lambda pt: pt.aggregate.t_mean).g
+        return max(self.points, key=lambda pt: pt.t_mean).g
 
     @property
     def t_max(self) -> float:
-        return max(pt.aggregate.t_mean for pt in self.points)
+        return max(pt.t_mean for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,23 @@ def _process_count(workers: int, frames: int) -> int:
     return min(workers, frames, cpus)
 
 
+def _check_frames(frames: int) -> None:
+    """Reject a frame count outside [1, sys.maxsize], before any pool starts."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    if frames > sys.maxsize:
+        raise ValueError(f"frames must be <= {sys.maxsize}, got {frames}")
+
+
 def _queue_chunks(
-    pool: ProcessPoolExecutor, config: SystemConfig, frames: int, processes: int
+    pool: Executor, config: SystemConfig, frames: int, processes: int
 ) -> list[Future]:
     """Queue one point's frames on ``pool`` as ``processes`` contiguous chunks.
 
     The futures come back in frame-index order; the chunk bounds depend only
     on ``frames`` and ``processes``.
     """
-    bounds = np.linspace(0, frames, num=processes + 1, dtype=int)
+    bounds = [frames * i // processes for i in range(processes + 1)]
     return [
         pool.submit(_simulate_range, config, start, stop)
         for start, stop in zip(bounds[:-1], bounds[1:])
@@ -153,12 +164,11 @@ def run_trials(
     process runs the chunks on a pool started for this call, and one process
     simulates every frame in this one.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
+    _check_frames(frames)
     if chunks is not None:
         parts = [chunk.result() for chunk in chunks]
     elif (processes := _process_count(workers, frames)) > 1:
-        with ProcessPoolExecutor(processes) as pool:
+        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
             parts = [chunk.result() for chunk in _queue_chunks(pool, config, frames, processes)]
     else:
         parts = [_simulate_range(config, 0, frames)]
@@ -226,26 +236,6 @@ def users_for_load(
     return tuple(users)
 
 
-def sweep_point(
-    config: SystemConfig,
-    codes: Sequence[UserCode],
-    frames: int,
-    workers: int = 1,
-    *,
-    chunks: Sequence[Future] | None = None,
-) -> SweepPoint:
-    """Simulate one load point; ``codes`` name its n and k columns, and
-    ``chunks`` are passed on to ``run_trials``."""
-    return SweepPoint(
-        g=normalized_load(config),
-        ns=config.ns,
-        n_label=";".join(str(code.n) for code in codes),
-        k_label=";".join(str(code.k) for code in codes),
-        seed=config.seed,
-        aggregate=run_trials(config, frames, workers=workers, chunks=chunks),
-    )
-
-
 def _realizable(
     template: UserCode | Mixture,
     ns: int,
@@ -287,37 +277,38 @@ def sweep_load(
     worker idles between points; at most two points are outstanding. If a
     point fails, the chunks still queued are cancelled.
     """
+    _check_frames(frames)
     # labels come from the mixture: a light load can apportion 0 users to a code
-    codes = [code for code, _ in _as_mixture(template)]
+    codes = tuple(code for code, _ in _as_mixture(template))
 
     skipped: list[tuple[float, str]] = []
     configs = _realizable(template, ns, g_values, seed, skipped)
     first = next(configs, None)
     if first is None:
         raise ValueError("no realizable load values in sweep")
-    points: list[SweepPoint] = []
+    points: list[TrialAggregate] = []
     processes = _process_count(workers, frames)
-    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
+    with (
+        concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else nullcontext()
+    ) as pool:
 
-        def queue(config: SystemConfig) -> tuple[SystemConfig, list[Future] | None]:
+        def queue(config: SystemConfig) -> Callable[[], TrialAggregate]:
+            """Queue a point's chunks now; the returned call reads its aggregate."""
             chunks = None if pool is None else _queue_chunks(pool, config, frames, processes)
-            return config, chunks
-
-        def reduce(config: SystemConfig, chunks: list[Future] | None) -> SweepPoint:
-            return sweep_point(config, codes, frames, workers, chunks=chunks)
+            return lambda: run_trials(config, frames, workers, chunks=chunks)
 
         try:
-            queued = queue(first)
+            pending = queue(first)
             for config in configs:
                 following = queue(config)
-                points.append(reduce(*queued))
-                queued = following
-            points.append(reduce(*queued))
+                points.append(pending())
+                pending = following
+            points.append(pending())
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
     points.sort(key=lambda pt: pt.g)
-    return SweepResult(points=tuple(points), skipped=tuple(skipped))
+    return SweepResult(ns=ns, codes=codes, seed=seed, points=tuple(points), skipped=tuple(skipped))
 
 
 def aloha_baseline(g: float, variant: str) -> float:

@@ -57,8 +57,8 @@ def sweep_5_2():
 
 
 def peak_ci(result):
-    best = max(result.points, key=lambda pt: pt.aggregate.t_mean)
-    return best.aggregate.t_ci95
+    best = max(result.points, key=lambda pt: pt.t_mean)
+    return best.t_ci95
 
 
 def test_ac1_throughput_peak(sweep_3_1):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import random
 import subprocess
@@ -302,7 +303,7 @@ class TestCommandLine:
         def too_large(config, frames, workers=1, *, chunks=None):
             raise MemoryError(message)
 
-        monkeypatch.setattr(montecarlo, "run_trials", too_large)
+        monkeypatch.setattr(cli, "run_trials", too_large)
         out = tmp_path / "x.csv"
         code = main(
             [
@@ -330,13 +331,42 @@ class TestCommandLine:
         def worker_died(config, frames, workers=1, *, chunks=None):
             raise BrokenProcessPool(message)
 
-        monkeypatch.setattr(montecarlo, "run_trials", worker_died)
+        # simulate calls run_trials itself; a sweep calls it per point
+        caller = cli if command == ["simulate"] else montecarlo
+        monkeypatch.setattr(caller, "run_trials", worker_died)
         out = tmp_path / "x.csv"
         args = ["--config", str(config_file), "--frames", "20", "--workers", "2"]
         code = main(command + args + ["--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("frames", [10**30, sys.maxsize], ids=["above-maxsize", "maxsize"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--g", "0.5"]], ids=["simulate", "sweep"]
+    )
+    def test_huge_frame_count_exits_1_with_one_line(self, tmp_path, config_file, command, frames):
+        # a subprocess, so that a warning printed by a pool worker shows too;
+        # the probe makes the package see two usable CPUs, whatever the host has
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from csasim.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        out = tmp_path / "x.csv"
+        out.write_text("earlier\n")
+        flags = ["--config", str(config_file), "--frames", str(frames), "--workers", "2"]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *command, *flags, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        if frames > sys.maxsize:
+            assert str(frames) in result.stderr
+        assert out.read_text() == "earlier\n"
 
     @pytest.mark.parametrize(
         "command,grid",
@@ -635,11 +665,46 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # de, trace, baseline and one-worker runs start no pool, so they need not
+    # load the process-pool machinery
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, csasim.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_every_export_resolves():
     # a deleted name must leave __all__ too
     import csasim
 
     assert [name for name in csasim.__all__ if not hasattr(csasim, name)] == []
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/tracer.py wraps each TRACED function by name; a renamed one
+    # would silently drop its layer from a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for qualname in tracer.TRACED:
+        module_name, func_name = qualname.split(".")
+        module = importlib.import_module(f"csasim.{module_name}")
+        if not callable(getattr(module, func_name, None)):
+            missing.append(qualname)
+    assert tracer.TRACED and missing == []
 
 
 def test_package_source_has_no_assert():

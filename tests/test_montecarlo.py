@@ -1,6 +1,8 @@
+import concurrent.futures
 import math
 import os
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -82,7 +84,7 @@ class RecordingPool:
 def recording_pool(monkeypatch):
     """Patch ProcessPoolExecutor with a fresh RecordingPool class."""
     pool = type("Pool", (RecordingPool,), {"built": [], "closed": [], "shutdowns": [], "log": []})
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return pool
 
 
@@ -180,6 +182,15 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(homogeneous(4, 1, 1, 1), frames=0)
 
+    def test_rejects_frames_above_maxsize_before_a_pool_starts(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        frames = sys.maxsize + 1
+        with pytest.raises(ValueError, match=str(frames)):
+            run_trials(homogeneous(4, 1, 1, 1), frames=frames, workers=2)
+        with pytest.raises(ValueError, match=str(frames)):
+            sweep_load(UserCode(1, 1), ns=4, g_values=[0.5], frames=frames, workers=2)
+        assert recording_pool.built == []
+
 
 class TestApportion:
     def test_largest_remainder(self):
@@ -209,22 +220,22 @@ class TestSweepLoad:
         assert point.g == pytest.approx(
             sum(u.k for u in users_for_load(UserCode(4, 2), 20, 0.5)) / 20
         )
-        assert point.n_label == "4" and point.k_label == "2"
+        assert result.codes == (UserCode(4, 2),)
 
     def test_argmax_consistency(self):
         result = sweep_load(
             UserCode(2, 1), ns=50, g_values=[0.2, 0.4, 0.6, 0.8], frames=200, seed=3
         )
-        best = max(result.points, key=lambda pt: pt.aggregate.t_mean)
-        assert result.t_max == best.aggregate.t_mean
+        best = max(result.points, key=lambda pt: pt.t_mean)
+        assert result.t_max == best.t_mean
         assert result.argmax_g == best.g
         assert [pt.g for pt in result.points] == sorted(pt.g for pt in result.points)
 
     def test_low_load_decodes_everyone(self):
         result = sweep_load(UserCode(3, 1), ns=60, g_values=[0.05], frames=300)
         point = result.points[0]
-        assert point.aggregate.plr_mean <= 0.01
-        assert point.aggregate.t_mean == pytest.approx(point.g, abs=0.01)
+        assert point.plr_mean <= 0.01
+        assert point.t_mean == pytest.approx(point.g, abs=0.01)
 
     def test_all_unrealizable_raises(self):
         with pytest.raises(ValueError, match="no realizable"):
@@ -277,7 +288,7 @@ class TestSweepLoad:
             last_queue = max(i for i, (e, g, _) in enumerate(log) if (e, g) == ("queue", following))
             first_read = min(i for i, (e, g, _) in enumerate(log) if (e, g) == ("read", current))
             assert last_queue < first_read
-        # each point is read in frame-index order, on the np.linspace chunk bounds
+        # each point is read in frame-index order, on the frames * i // 2 chunk bounds
         for g in loads:
             assert [start for e, h, start in log if (e, h) == ("read", g)] == [0, 15]
         assert self.most_points_outstanding(log) == 2
