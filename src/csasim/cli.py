@@ -88,15 +88,7 @@ def _simulate(args: argparse.Namespace) -> SweepResult:
 
 
 def _sweep(args: argparse.Namespace) -> SweepResult:
-    config = _load_config(args)
-    return sweep_load(
-        config.code_groups,
-        config.ns,
-        args.g,
-        args.frames,
-        seed=config.seed,
-        workers=args.workers,
-    )
+    return sweep_load(_load_config(args), args.g, args.frames, args.workers)
 
 
 def _de(args: argparse.Namespace) -> DETrace:

@@ -144,7 +144,7 @@ def _collided_mass(config: SystemConfig, survival: float) -> float:
     return float((counts * q * -np.expm1(log_empty)).sum())
 
 
-def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
+def de_iterate(config: SystemConfig) -> DETrace:
     """Run the per-round recursion for a configuration.
 
     Reports non-convergence through ``converged_to_zero`` instead of
@@ -166,21 +166,21 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
             raise InternalError(f"q increased from {q_prev!r} to {q!r}")
-        if q_prev <= epsilon:
+        if q_prev <= EPSILON:
             beta = 0.0
         else:
             # numerator floored at zero so float dust in q cannot leak into
             # beta through the 1/q_prev amplification
             beta = min(max(q_prev - q, 0.0) / q_prev, 1.0)
         states.append(DEState(l=l, p=p, q=q, beta=beta))
-        if q < epsilon:
+        if q < EPSILON:
             break
 
         # burst-weighted undecoded share: the product of (1 - rho_l) telescopes
         survival = float((bursts_vec * (1.0 - qbar)).sum()) / total
         bracket = _collided_mass(config, survival) * ns / (total * (1.0 - l / nu))
         p_raw = bracket * beta + p * (1.0 - beta)
-        if p_raw >= p - epsilon:
+        if p_raw >= p - EPSILON:
             break  # no progress: the recursion reached its fixpoint
         p = _clamp_unit(p_raw, "p")
         q_prev = q
@@ -192,5 +192,5 @@ def de_iterate(config: SystemConfig, epsilon: float = EPSILON) -> DETrace:
     return DETrace(
         states=tuple(states),
         predicted_plr=final_q,
-        converged_to_zero=final_q < epsilon,
+        converged_to_zero=final_q < EPSILON,
     )

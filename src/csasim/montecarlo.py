@@ -4,7 +4,9 @@ Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
 Workers fill disjoint index ranges of one result array and the statistics
 are reduced over that array in index order, which makes aggregates
-bit-identical no matter how the work was split. A load sweep is one
+bit-identical no matter how the work was split. A load sweep takes the
+``SystemConfig`` it sweeps: each load's users mix that config's code groups,
+weighted by their user counts, on its frame size and seed. Its result is one
 ``SweepResult``: the frame size, user codes and seed it shares, stated once,
 and one ``TrialAggregate`` per realized load.
 """
@@ -19,7 +21,7 @@ import os
 import sys
 from concurrent.futures import Executor, Future
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -28,8 +30,6 @@ from .decoder import _peel, decode_frame
 from .model import SystemConfig, UserCode, place_frame
 
 logger = logging.getLogger(__name__)
-
-Mixture = Sequence[tuple[UserCode, float]]
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,17 @@ def _process_count(workers: int, frames: int) -> int:
 
 
 def _check_frames(frames: int) -> None:
-    """Reject a frame count outside [1, sys.maxsize], before any pool starts."""
+    """Reject a frame count outside [1, sys.maxsize], or one whose per-frame
+    results cannot be allocated, before any pool starts."""
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     if frames > sys.maxsize:
         raise ValueError(f"frames must be <= {sys.maxsize}, got {frames}")
+    try:
+        # the (t, plr, rounds) arrays run_trials reduces; untouched pages cost nothing
+        np.empty((3, frames))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
+        raise MemoryError(f"cannot hold the results of {frames} frames") from None
 
 
 def _queue_chunks(
@@ -192,16 +198,7 @@ def run_trials(
     )
 
 
-def _as_mixture(template: UserCode | Mixture) -> list[tuple[UserCode, float]]:
-    if isinstance(template, UserCode):
-        return [(template, 1.0)]
-    mixture = [(code, float(weight)) for code, weight in template]
-    if not mixture or any(w <= 0 for _, w in mixture):
-        raise ValueError("mixture weights must be positive and non-empty")
-    return mixture
-
-
-def _apportion(weights: Sequence[float], total: int) -> list[int]:
+def _apportion(weights: Sequence[int], total: int) -> list[int]:
     """Largest-remainder rounding of ``total`` into integer shares."""
     scale = sum(weights)
     quotas = [w / scale * total for w in weights]
@@ -212,77 +209,62 @@ def _apportion(weights: Sequence[float], total: int) -> list[int]:
     return counts
 
 
-def users_for_load(
-    template: UserCode | Mixture, ns: int, g: float
-) -> tuple[UserCode, ...] | None:
-    """User population realizing load g as closely as integer counts allow.
+def users_for_load(config: SystemConfig, g: float) -> tuple[UserCode, ...] | None:
+    """User population realizing load g with ``config``'s mix of user codes.
 
-    The user count is round(ns * g / mean k); returns None when that count
-    is below one, i.e. the load is not realizable at this frame size, and
-    raises ValueError when it is not finite or exceeds ``sys.maxsize``.
+    Each code of ``config.code_groups`` keeps its share of the users, weighted
+    by its user count. The user count is round(ns * g / mean k); returns None
+    when that count is below one, i.e. the load is not realizable at this
+    frame size, and raises ValueError when it is not finite or exceeds
+    ``sys.maxsize``.
     """
-    mixture = _as_mixture(template)
-    k_mean = sum(w * c.k for c, w in mixture) / sum(w for _, w in mixture)
-    exact = ns * g / k_mean
+    k_mean = config.total_payload / config.n_users
+    exact = config.ns * g / k_mean
     if not exact <= sys.maxsize:  # also catches inf and nan
         raise ValueError(f"load G={g:g} needs {exact:g} users, more than {sys.maxsize}")
     nu = round(exact)
     if nu < 1:
         return None
-    counts = _apportion([w for _, w in mixture], nu)
+    counts = _apportion([count for _, count in config.code_groups], nu)
     users: list[UserCode] = []
-    for (code, _), count in zip(mixture, counts):
+    for (code, _), count in zip(config.code_groups, counts):
         users.extend([code] * count)
     return tuple(users)
 
 
 def _realizable(
-    template: UserCode | Mixture,
-    ns: int,
-    g_values: Sequence[float],
-    seed: int,
-    skipped: list[tuple[float, str]],
+    config: SystemConfig, g_values: Sequence[float], skipped: list[tuple[float, str]]
 ) -> Iterator[SystemConfig]:
     """Configurations of the realizable loads, built one at a time; every
     unrealizable load is appended to ``skipped`` with its reason."""
     for g in g_values:
-        users = users_for_load(template, ns, g)
+        users = users_for_load(config, g)
         if users is None:
             skipped.append((g, "load too small for one user"))
             logger.warning("skipping G=%g: load too small for one user", g)
             continue
-        try:
-            config = SystemConfig(ns=ns, users=users, seed=seed)
-        except ValueError as exc:
-            skipped.append((g, str(exc)))
-            logger.warning("skipping G=%g: %s", g, exc)
-            continue
-        yield config
+        yield replace(config, users=users)
 
 
 def sweep_load(
-    template: UserCode | Mixture,
-    ns: int,
-    g_values: Sequence[float],
-    frames: int,
-    seed: int = 0,
-    workers: int = 1,
+    config: SystemConfig, g_values: Sequence[float], frames: int, workers: int = 1
 ) -> SweepResult:
     """Run one trial aggregate per requested load and locate the throughput peak.
 
-    Unrealizable loads are skipped with a warning record; reported loads are
-    the realized sum(k_i) / ns, not the requested grid values. When more than
-    one process is used, all points share one pool, and the next point's
-    chunks are queued before the current point's results are read, so no
-    worker idles between points; at most two points are outstanding. If a
-    point fails, the chunks still queued are cancelled.
+    Each load's users mix ``config``'s codes as ``users_for_load`` does, on
+    its frame size and seed. Unrealizable loads are skipped with a warning
+    record; reported loads are the realized sum(k_i) / ns, not the requested
+    grid values. When more than one process is used, all points share one
+    pool, and the next point's chunks are queued before the current point's
+    results are read, so no worker idles between points; at most two points
+    are outstanding. If a point fails, the chunks still queued are cancelled.
     """
     _check_frames(frames)
-    # labels come from the mixture: a light load can apportion 0 users to a code
-    codes = tuple(code for code, _ in _as_mixture(template))
+    # labels come from the config: a light load can apportion 0 users to a code
+    codes = tuple(code for code, _ in config.code_groups)
 
     skipped: list[tuple[float, str]] = []
-    configs = _realizable(template, ns, g_values, seed, skipped)
+    configs = _realizable(config, g_values, skipped)
     first = next(configs, None)
     if first is None:
         raise ValueError("no realizable load values in sweep")
@@ -292,15 +274,15 @@ def sweep_load(
         concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else nullcontext()
     ) as pool:
 
-        def queue(config: SystemConfig) -> Callable[[], TrialAggregate]:
+        def queue(point: SystemConfig) -> Callable[[], TrialAggregate]:
             """Queue a point's chunks now; the returned call reads its aggregate."""
-            chunks = None if pool is None else _queue_chunks(pool, config, frames, processes)
-            return lambda: run_trials(config, frames, workers, chunks=chunks)
+            chunks = None if pool is None else _queue_chunks(pool, point, frames, processes)
+            return lambda: run_trials(point, frames, workers, chunks=chunks)
 
         try:
             pending = queue(first)
-            for config in configs:
-                following = queue(config)
+            for point in configs:
+                following = queue(point)
                 points.append(pending())
                 pending = following
             points.append(pending())
@@ -308,7 +290,9 @@ def sweep_load(
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
     points.sort(key=lambda pt: pt.g)
-    return SweepResult(ns=ns, codes=codes, seed=seed, points=tuple(points), skipped=tuple(skipped))
+    return SweepResult(
+        ns=config.ns, codes=codes, seed=config.seed, points=tuple(points), skipped=tuple(skipped)
+    )
 
 
 def aloha_baseline(g: float, variant: str) -> float:

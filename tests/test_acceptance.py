@@ -43,17 +43,17 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep_3_1():
-    return sweep_load(UserCode(3, 1), 400, G_GRID, FRAMES, seed=SEED)
+    return sweep_load(SystemConfig(ns=400, users=(UserCode(3, 1),), seed=SEED), G_GRID, FRAMES)
 
 
 @pytest.fixture(scope="module")
 def sweep_4_2():
-    return sweep_load(UserCode(4, 2), 400, G_GRID, FRAMES, seed=SEED)
+    return sweep_load(SystemConfig(ns=400, users=(UserCode(4, 2),), seed=SEED), G_GRID, FRAMES)
 
 
 @pytest.fixture(scope="module")
 def sweep_5_2():
-    return sweep_load(UserCode(5, 2), 400, G_GRID, FRAMES, seed=SEED)
+    return sweep_load(SystemConfig(ns=400, users=(UserCode(5, 2),), seed=SEED), G_GRID, FRAMES)
 
 
 def peak_ci(result):
@@ -86,7 +86,7 @@ def test_ac2_code_ordering(sweep_3_1, sweep_4_2, sweep_5_2):
 
 def test_ac3_operating_point_and_frame_size():
     def point(ns):
-        users = users_for_load(UserCode(4, 2), ns, 0.63)
+        users = users_for_load(SystemConfig(ns=ns, users=(UserCode(4, 2),)), 0.63)
         config = SystemConfig(ns=ns, users=users, seed=SEED)
         return run_trials(config, FRAMES)
 
@@ -127,7 +127,7 @@ def test_ac4_analytic_recursion_agreement():
 
 
 def test_ac5_slotted_aloha_baseline():
-    users = users_for_load(UserCode(1, 1), 1000, 1.0)
+    users = users_for_load(SystemConfig(ns=1000, users=(UserCode(1, 1),)), 1.0)
     config = SystemConfig(ns=1000, users=users, seed=SEED)
     agg = run_trials(config, FRAMES)
     exact = 1.0 * (1 - 1 / 1000) ** (len(users) - 1)

@@ -62,6 +62,8 @@ class TestParseConfig:
             ("ns=4\nseed=x\nusers=1x(2,1)", "non-numeric value for 'seed'", 2),
             ("ns=4\nseed=-1\nusers=1x(2,1)", "seed must be", 2),
             ("ns=0\nusers=1x(1,1)", "ns must be >= 1", 1),
+            ("ns=4\nusers=0x(3,1)", "user group count must be >= 1", 2),
+            ("ns=4\nusers", "expected key=value", 2),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, fragment, line):
@@ -364,8 +366,7 @@ class TestCommandLine:
         )
         assert result.returncode == 1
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        if frames > sys.maxsize:
-            assert str(frames) in result.stderr
+        assert str(frames) in result.stderr
         assert out.read_text() == "earlier\n"
 
     @pytest.mark.parametrize(

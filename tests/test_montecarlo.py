@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,11 @@ from helpers import make_placement, random_instance, set_usable_cpus
 
 def homogeneous(ns, n, k, count, seed=0):
     return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
+
+
+def two_to_three(ns, seed=0):
+    """(4,2) and (2,1) users in a 2:3 ratio."""
+    return SystemConfig(ns=ns, users=(UserCode(4, 2),) * 2 + (UserCode(2, 1),) * 3, seed=seed)
 
 
 class LazyChunk:
@@ -141,6 +147,13 @@ class TestRunTrials:
             assert agg.t_mean <= agg.g + 1e-12
             assert 0.0 <= agg.plr_mean <= 1.0
 
+    def test_one_frame_has_zero_half_widths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.std(ddof=1) of one value warns
+            agg = run_trials(homogeneous(20, 3, 1, 8, seed=4), frames=1)
+        assert agg.frames == 1
+        assert agg.t_ci95 == agg.plr_ci95 == 0.0
+
     def test_reproducible_for_fixed_seed(self):
         config = homogeneous(40, 3, 1, 12, seed=77)
         a = run_trials(config, frames=300)
@@ -188,7 +201,18 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=str(frames)):
             run_trials(homogeneous(4, 1, 1, 1), frames=frames, workers=2)
         with pytest.raises(ValueError, match=str(frames)):
-            sweep_load(UserCode(1, 1), ns=4, g_values=[0.5], frames=frames, workers=2)
+            sweep_load(homogeneous(4, 1, 1, 1), [0.5], frames, workers=2)
+        assert recording_pool.built == []
+
+    def test_frames_beyond_memory_name_the_count_before_a_pool_starts(
+        self, monkeypatch, recording_pool
+    ):
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            with pytest.raises(MemoryError, match=str(sys.maxsize)):
+                run_trials(homogeneous(4, 1, 1, 1), frames=sys.maxsize, workers=2)
+            with pytest.raises(MemoryError, match=str(sys.maxsize)):
+                sweep_load(homogeneous(4, 1, 1, 1), [0.5], sys.maxsize, workers=2)
         assert recording_pool.built == []
 
 
@@ -199,56 +223,51 @@ class TestApportion:
         assert _apportion([5.0], 3) == [3]
 
     def test_users_for_load(self):
-        users = users_for_load(UserCode(3, 1), 400, 0.755)
+        users = users_for_load(homogeneous(400, 3, 1, 1), 0.755)
         assert len(users) == 302
-        mixed = users_for_load([(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)], 100, 0.5)
+        mixed = users_for_load(two_to_three(100), 0.5)
         # mean k = (2*2 + 1*3) / 5 = 1.4 so 36 users, split 14 / 22 by weight
         assert len(mixed) == 36
         assert mixed.count(UserCode(4, 2)) == 14
         assert mixed.count(UserCode(2, 1)) == 22
 
     def test_unrealizable_load_is_none(self):
-        assert users_for_load(UserCode(4, 2), 10, 0.05) is None
+        assert users_for_load(homogeneous(10, 4, 2, 1), 0.05) is None
 
 
 class TestSweepLoad:
     def test_skips_unrealizable_and_reports_realized_g(self):
-        result = sweep_load(UserCode(4, 2), ns=20, g_values=[0.01, 0.5], frames=30)
+        result = sweep_load(homogeneous(20, 4, 2, 1), [0.01, 0.5], frames=30)
         assert len(result.points) == 1
         assert result.skipped and result.skipped[0][0] == 0.01
         point = result.points[0]
         assert point.g == pytest.approx(
-            sum(u.k for u in users_for_load(UserCode(4, 2), 20, 0.5)) / 20
+            sum(u.k for u in users_for_load(homogeneous(20, 4, 2, 1), 0.5)) / 20
         )
         assert result.codes == (UserCode(4, 2),)
 
     def test_argmax_consistency(self):
-        result = sweep_load(
-            UserCode(2, 1), ns=50, g_values=[0.2, 0.4, 0.6, 0.8], frames=200, seed=3
-        )
+        result = sweep_load(homogeneous(50, 2, 1, 1, seed=3), [0.2, 0.4, 0.6, 0.8], frames=200)
         best = max(result.points, key=lambda pt: pt.t_mean)
         assert result.t_max == best.t_mean
         assert result.argmax_g == best.g
         assert [pt.g for pt in result.points] == sorted(pt.g for pt in result.points)
 
     def test_low_load_decodes_everyone(self):
-        result = sweep_load(UserCode(3, 1), ns=60, g_values=[0.05], frames=300)
+        result = sweep_load(homogeneous(60, 3, 1, 1), [0.05], frames=300)
         point = result.points[0]
         assert point.plr_mean <= 0.01
         assert point.t_mean == pytest.approx(point.g, abs=0.01)
 
     def test_all_unrealizable_raises(self):
         with pytest.raises(ValueError, match="no realizable"):
-            sweep_load(UserCode(4, 2), ns=10, g_values=[0.01], frames=10)
+            sweep_load(homogeneous(10, 4, 2, 1), [0.01], frames=10)
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         built, closed = recording_pool.built, recording_pool.closed
         set_usable_cpus(monkeypatch, 2)
-        mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
         loads = [0.01, 0.2, 0.4, 0.6]
-        sweep = lambda workers: sweep_load(
-            mixture, ns=40, g_values=loads, frames=30, seed=5, workers=workers
-        )
+        sweep = lambda workers: sweep_load(two_to_three(40, seed=5), loads, 30, workers)
         shared = sweep(2)
         assert built == [2] and closed == [None]
         assert len(shared.points) == 3
@@ -264,10 +283,7 @@ class TestSweepLoad:
     SCHEDULED_LOADS = [0.2, 0.01, 0.4, 0.6, 0.8]  # 0.01 is below one user at ns=40
 
     def scheduled_sweep(self, workers=2):
-        mixture = [(UserCode(4, 2), 2.0), (UserCode(2, 1), 3.0)]
-        return sweep_load(
-            mixture, ns=40, g_values=self.SCHEDULED_LOADS, frames=30, seed=5, workers=workers
-        )
+        return sweep_load(two_to_three(40, seed=5), self.SCHEDULED_LOADS, 30, workers)
 
     @staticmethod
     def most_points_outstanding(log):
@@ -309,7 +325,7 @@ class TestSweepLoad:
     def test_all_unrealizable_starts_no_pool(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="no realizable"):
-            sweep_load(UserCode(4, 2), ns=10, g_values=[0.01, 0.02], frames=10, workers=2)
+            sweep_load(homogeneous(10, 4, 2, 1), [0.01, 0.02], frames=10, workers=2)
         assert recording_pool.built == []
 
     def test_one_run_trials_call_per_realizable_point(self, monkeypatch):
