@@ -8,7 +8,8 @@ ignored. Keys:
     users=302x(3,1)             user population, space-separated groups
     users=2x(4,2) 3x(2,1)       heterogeneous mixture, expanded in order
 
-Every diagnostic carries the offending line number.
+The user codes and the population are checked by ``UserCode`` and
+``SystemConfig``; every diagnostic about a line carries its number.
 """
 from __future__ import annotations
 
@@ -91,22 +92,16 @@ def parse_config(text: str) -> SystemConfig:
         raise ConfigError("missing required key 'ns'")
     if groups is None:
         raise ConfigError("missing required key 'users'")
-    if not groups:
-        raise ConfigError("user list is empty", users_line)
 
-    users: list[UserCode] = []
-    for count, n, k in groups:
-        if not 1 <= k <= n:
-            raise ConfigError(
-                f"invalid user code (n={n}, k={k}): need 1 <= k <= n", users_line
-            )
-        if n > ns:
-            raise ConfigError(
-                f"burst count n={n} exceeds frame size ns={ns}", users_line
-            )
-        users.extend([UserCode(n=n, k=k)] * count)
-
-    return SystemConfig(ns=ns, users=tuple(users), seed=seed)
+    # ns and seed are valid here, so whatever the model rejects is on the
+    # users line
+    try:
+        users: list[UserCode] = []
+        for count, n, k in groups:
+            users.extend([UserCode(n=n, k=k)] * count)
+        return SystemConfig(ns=ns, users=tuple(users), seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc), users_line) from None
 
 
 def render_config(config: SystemConfig) -> str:

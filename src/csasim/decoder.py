@@ -13,6 +13,9 @@ its degree and the sum of the user indices still in it, so a slot of degree
 1 names its owner. A round subtracts only the bursts of the users it decodes
 and credits one clean burst to the owner of each slot whose degree just fell
 to 1; no round rescans every burst of the frame.
+
+A frame's trace keeps each productive round and the residual erasure
+fraction at the fixpoint, which is above 0 exactly when the frame deadlocked.
 """
 from __future__ import annotations
 
@@ -29,17 +32,14 @@ class RoundRecord:
 
     ``p_empirical`` is the fraction of the not-yet-decoded users' bursts that
     sit in collided slots, measured before this round's subtractions;
-    ``p_all_bursts`` is the same count divided by all bursts of the frame
-    (both denominators are exposed because either may be wanted when
-    comparing against the analytic recursion). ``q_empirical`` is the
-    fraction of all users still undecoded after this round.
+    ``q_empirical`` is the fraction of all users still undecoded after this
+    round.
     """
 
     round_index: int
     newly_decoded: frozenset[int]
     p_empirical: float
     q_empirical: float
-    p_all_bursts: float
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,14 @@ class DecodeTrace:
 
     ``rounds`` records productive rounds only; a round that decodes nobody is
     the fixpoint and is not recorded. ``final_p`` is the residual erasure
-    fraction at the fixpoint (0.0 when every user was decoded), i.e. what
-    ``p_empirical`` would read one round past the last recorded one.
+    fraction at the fixpoint, i.e. what ``p_empirical`` would read one round
+    past the last recorded one. It is above 0 exactly when a user stays
+    undecoded (a deadlock): such a user has fewer than k clean bursts, so it
+    keeps at least n - k + 1 of them in collided slots.
     """
 
     rounds: tuple[RoundRecord, ...]
     decoded_users: frozenset[int]
-    deadlock: bool
     final_p: float
 
 
@@ -63,17 +64,17 @@ def _check_consistent(config: SystemConfig, placement: FramePlacement) -> None:
         raise ValueError("placement does not match config")
 
 
-def _collided_bursts(degree: np.ndarray) -> tuple[int, float]:
-    """Bursts in collided slots, and their fraction of all bursts in ``degree``."""
+def _collided_fraction(degree: np.ndarray) -> float:
+    """Fraction of the bursts in ``degree`` that sit in collided slots."""
     remaining = int(degree.sum())
-    collided = int(degree[degree >= 2].sum())
-    return collided, collided / remaining if remaining else 0.0
+    return int(degree[degree >= 2].sum()) / remaining if remaining else 0.0
 
 
 def _peel(
     config: SystemConfig, placement: FramePlacement, record: bool
-) -> tuple[np.ndarray, list[RoundRecord], float, int]:
-    """Core peeling loop; returns (undecoded mask, rounds, final_p, n_rounds).
+) -> tuple[np.ndarray, list[RoundRecord], np.ndarray, int]:
+    """Core peeling loop; returns (undecoded mask, rounds, residual slot
+    degree, n_rounds).
 
     ``owner`` holds, per slot, the sum of the user indices whose bursts are
     still in it, so a slot of degree 1 names its owner. The sums are float64
@@ -85,7 +86,6 @@ def _peel(
     user_of_burst = config.user_of_burst
     slot_of_burst = placement.slot_of_burst
     ns = config.ns
-    total = slot_of_burst.size
     degree = placement.degree_of_slot.copy()
     owner = np.bincount(slot_of_burst, weights=user_of_burst, minlength=ns)
     clean_counts = np.bincount(user_of_burst[degree[slot_of_burst] == 1], minlength=nu)
@@ -96,7 +96,7 @@ def _peel(
     n_rounds = 0
     while decodable.any():
         if record:
-            collided, p_emp = _collided_bursts(degree)
+            p_emp = _collided_fraction(degree)
         hit = decodable[user_of_burst]
         hit_slots = slot_of_burst[hit]
         removed = np.bincount(hit_slots, minlength=ns)
@@ -113,29 +113,26 @@ def _peel(
                     newly_decoded=frozenset(np.flatnonzero(decodable).tolist()),
                     p_empirical=p_emp,
                     q_empirical=int(undecoded.sum()) / nu,
-                    p_all_bursts=collided / total,
                 )
             )
         n_rounds += 1
         if n_rounds > nu:
             raise InternalError(f"peeling ran {n_rounds} rounds for {nu} users")
         decodable = undecoded & (clean_counts >= k_arr)
-    return undecoded, rounds, _collided_bursts(degree)[1], n_rounds
+    return undecoded, rounds, degree, n_rounds
 
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:
     """Peel one frame to its fixpoint and record per-round statistics."""
     _check_consistent(config, placement)
-    undecoded, rounds, final_p, _ = _peel(config, placement, record=True)
-    decoded = frozenset(np.flatnonzero(~undecoded).tolist())
+    undecoded, rounds, degree, _ = _peel(config, placement, record=True)
     return DecodeTrace(
         rounds=tuple(rounds),
-        decoded_users=decoded,
-        deadlock=len(decoded) < config.n_users,
-        final_p=final_p,
+        decoded_users=frozenset(np.flatnonzero(~undecoded).tolist()),
+        final_p=_collided_fraction(degree),
     )
 
 
 def empirical_p0(placement: FramePlacement) -> float:
     """Fraction of bursts lying in collided slots of a fresh placement."""
-    return _collided_bursts(placement.degree_of_slot)[1]
+    return _collided_fraction(placement.degree_of_slot)

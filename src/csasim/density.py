@@ -25,10 +25,11 @@ tracked by a recursion under an independence assumption:
   remaining-burst factor (1 - l / n_users).
 
 The recursion halts once Q reaches (numerical) zero, once P stops making
-progress (a deadlock fixpoint), or after n_users rounds. Progress-halting
-keeps every recorded probability in [0, 1] and Q non-increasing; the raw
-update could otherwise drift upward in saturated regimes where the linear
-remaining-burst factor undershoots the actual remaining population.
+progress (a deadlock fixpoint), or after n_users rounds; the Q of its last
+state is the predicted packet loss ratio. Progress-halting keeps every
+recorded probability in [0, 1] and Q non-increasing; the raw update could
+otherwise drift upward in saturated regimes where the linear remaining-burst
+factor undershoots the actual remaining population.
 
 Each binomial tail takes log C(n, i) from an exact log-factorial table that
 a process builds once per distinct n.
@@ -61,11 +62,9 @@ class DEState:
 
 @dataclass(frozen=True)
 class DETrace:
-    """Full recursion history; ``predicted_plr`` is the q of the last state."""
+    """Full recursion history; the q of the last state is the predicted PLR."""
 
     states: tuple[DEState, ...]
-    predicted_plr: float
-    converged_to_zero: bool
 
 
 @cache
@@ -147,8 +146,8 @@ def _collided_mass(config: SystemConfig, survival: float) -> float:
 def de_iterate(config: SystemConfig) -> DETrace:
     """Run the per-round recursion for a configuration.
 
-    Reports non-convergence through ``converged_to_zero`` instead of
-    raising; the trace always holds at least one state.
+    The trace always holds at least one state. Non-convergence is not an
+    error: the trace then ends with a q above ``EPSILON``.
     """
     nu = config.n_users
     ns = config.ns
@@ -188,9 +187,4 @@ def de_iterate(config: SystemConfig) -> DETrace:
         if l >= nu:
             break
 
-    final_q = states[-1].q
-    return DETrace(
-        states=tuple(states),
-        predicted_plr=final_q,
-        converged_to_zero=final_q < EPSILON,
-    )
+    return DETrace(states=tuple(states))

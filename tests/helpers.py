@@ -22,6 +22,11 @@ def set_usable_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def homogeneous(ns: int, n: int, k: int, count: int, seed: int = 0) -> SystemConfig:
+    """``count`` users of one (n, k) code on ``ns`` slots."""
+    return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
+
+
 def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:
     """Hand-built placement from explicit per-user slot lists."""
     flat = np.concatenate([np.array(sorted(s), dtype=np.int64) for s in slots])
@@ -67,15 +72,14 @@ def peel_oracle(
 
 def synchronous_rounds_oracle(
     ns: int, users: list[UserCode], slots: list[list[int]]
-) -> tuple[list[tuple[set[int], float, float, float]], set[int], float]:
+) -> tuple[list[tuple[set[int], float, float]], set[int], float]:
     """Synchronous peeling, rescanning every burst in every round.
 
     Each round removes at once every undecoded user with at least k clean
-    bursts. Returns one (newly decoded, p over remaining bursts, q, p over
-    all bursts) tuple per productive round, the undecoded users, and the
-    collided fraction of the remaining bursts at the fixpoint.
+    bursts. Returns one (newly decoded, p over remaining bursts, q) tuple per
+    productive round, the undecoded users, and the collided fraction of the
+    remaining bursts at the fixpoint.
     """
-    total = sum(len(user_slots) for user_slots in slots)
     undecoded = set(range(len(users)))
     rounds = []
     while True:
@@ -94,7 +98,7 @@ def synchronous_rounds_oracle(
         if not newly:
             return rounds, undecoded, p
         undecoded -= newly
-        rounds.append((newly, p, len(undecoded) / len(users), collided / total))
+        rounds.append((newly, p, len(undecoded) / len(users)))
 
 
 def replica_sic_oracle(ns: int, slots: list[list[int]]) -> set[int]:

@@ -5,6 +5,7 @@ use 2000 frames per load point (the analytic-agreement check uses 100k
 frames of a small system); the whole suite completes in a few minutes.
 """
 import math
+import os
 import random
 
 import numpy as np
@@ -34,6 +35,9 @@ from helpers import (
 G_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 FRAMES = 2000
 SEED = 7
+# output bytes do not depend on the worker count, so the Monte Carlo checks
+# use every usable CPU
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -41,19 +45,24 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def sweep(n, k):
+    config = SystemConfig(ns=400, users=(UserCode(n, k),), seed=SEED)
+    return sweep_load(config, G_GRID, FRAMES, WORKERS)
+
+
 @pytest.fixture(scope="module")
 def sweep_3_1():
-    return sweep_load(SystemConfig(ns=400, users=(UserCode(3, 1),), seed=SEED), G_GRID, FRAMES)
+    return sweep(3, 1)
 
 
 @pytest.fixture(scope="module")
 def sweep_4_2():
-    return sweep_load(SystemConfig(ns=400, users=(UserCode(4, 2),), seed=SEED), G_GRID, FRAMES)
+    return sweep(4, 2)
 
 
 @pytest.fixture(scope="module")
 def sweep_5_2():
-    return sweep_load(SystemConfig(ns=400, users=(UserCode(5, 2),), seed=SEED), G_GRID, FRAMES)
+    return sweep(5, 2)
 
 
 def peak_ci(result):
@@ -88,7 +97,7 @@ def test_ac3_operating_point_and_frame_size():
     def point(ns):
         users = users_for_load(SystemConfig(ns=ns, users=(UserCode(4, 2),)), 0.63)
         config = SystemConfig(ns=ns, users=users, seed=SEED)
-        return run_trials(config, FRAMES)
+        return run_trials(config, FRAMES, WORKERS)
 
     large = point(700)
     small = point(100)
@@ -129,7 +138,7 @@ def test_ac4_analytic_recursion_agreement():
 def test_ac5_slotted_aloha_baseline():
     users = users_for_load(SystemConfig(ns=1000, users=(UserCode(1, 1),)), 1.0)
     config = SystemConfig(ns=1000, users=users, seed=SEED)
-    agg = run_trials(config, FRAMES)
+    agg = run_trials(config, FRAMES, WORKERS)
     exact = 1.0 * (1 - 1 / 1000) ** (len(users) - 1)
     mc_ok = abs(agg.t_mean - exact) <= 3 * agg.t_ci95
 

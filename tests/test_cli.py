@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import os
 import random
@@ -692,13 +693,20 @@ def test_every_export_resolves():
     assert [name for name in csasim.__all__ if not hasattr(csasim, name)] == []
 
 
+def load_perfbench(name):
+    """Module ``perfbench/<name>.py``, loaded by path: perfbench is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/tracer.py wraps each TRACED function by name; a renamed one
     # would silently drop its layer from a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     missing = []
     for qualname in tracer.TRACED:
         module_name, func_name = qualname.split(".")
@@ -706,6 +714,20 @@ def test_benchmark_hooks_resolve():
         if not callable(getattr(module, func_name, None)):
             missing.append(qualname)
     assert tracer.TRACED and missing == []
+
+
+BENCHMARK = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK.WORKLOADS))
+def test_benchmark_output_bytes_pinned(tmp_path, name):
+    # the benchmark rejects a change whose seed-1 CSV of a workload moves
+    workload = BENCHMARK.WORKLOADS[name]
+    path = tmp_path / "exp.cfg"
+    path.write_text(workload.config_text(BENCHMARK.DEFAULT_SEED))
+    out = tmp_path / "out.csv"
+    assert main(workload.cli_args(str(path), str(out))) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == workload.default_sha256
 
 
 def test_package_source_has_no_assert():

@@ -23,7 +23,6 @@ class TestDecodeFrame:
         config = config_for(8, [(3, 2)])
         trace = decode_frame(config, place_frame(config, 0))
         assert trace.decoded_users == frozenset({0})
-        assert not trace.deadlock
         assert len(trace.rounds) == 1
         record = trace.rounds[0]
         assert record.round_index == 0
@@ -38,7 +37,6 @@ class TestDecodeFrame:
         placement = make_placement(2, [[0, 1], [0, 1]])
         trace = decode_frame(config, placement)
         assert trace.decoded_users == frozenset()
-        assert trace.deadlock
         assert trace.rounds == ()
         assert trace.final_p == 1.0
 
@@ -50,7 +48,7 @@ class TestDecodeFrame:
         placement = make_placement(8, [[0, 1, 2, 3], [2, 4, 5, 6], [3, 5, 6, 7]])
         trace = decode_frame(config, placement)
         assert [set(r.newly_decoded) for r in trace.rounds] == [{0}, {1, 2}]
-        assert not trace.deadlock
+        assert trace.final_p == 0.0
         assert trace.rounds[0].p_empirical == pytest.approx(8 / 12)
         assert trace.rounds[1].p_empirical == pytest.approx(4 / 8)
         assert trace.rounds[1].q_empirical == 0.0
@@ -60,7 +58,7 @@ class TestDecodeFrame:
         placement = make_placement(7, [[0, 1, 2, 3], [2, 4, 5, 6], [5, 6]])
         trace = decode_frame(config, placement)
         assert [set(r.newly_decoded) for r in trace.rounds] == [{0}, {1}, {2}]
-        assert not trace.deadlock
+        assert trace.final_p == 0.0
 
     def test_no_singleton_chain_exists_for_three_4_2_users(self):
         # sanity companion to the chain test: with three (4,2) users the last
@@ -93,14 +91,13 @@ class TestDecodeFrame:
             rounds, undecoded, final_p = synchronous_rounds_oracle(
                 config.ns, list(config.users), slots
             )
-            mask, _, peel_p, n_rounds = _peel(config, placement, record=False)
+            mask, _, _, n_rounds = _peel(config, placement, record=False)
             assert n_rounds == len(rounds)
             assert set(np.flatnonzero(mask).tolist()) == undecoded
-            assert peel_p == final_p
             trace = decode_frame(config, placement)
             assert trace.final_p == final_p
             assert [
-                (set(r.newly_decoded), r.p_empirical, r.q_empirical, r.p_all_bursts)
+                (set(r.newly_decoded), r.p_empirical, r.q_empirical)
                 for r in trace.rounds
             ] == rounds
             assert [r.round_index for r in trace.rounds] == list(range(n_rounds))
@@ -154,12 +151,9 @@ class TestDecodeFrame:
             config, slots = random_instance(rng, max_users=6, max_ns=8, max_n=4)
             trace = decode_frame(config, make_placement(config.ns, slots))
             assert len(trace.rounds) <= config.n_users
-            # the all-burst erasure fraction is non-increasing; the
-            # remaining-burst one need not be (decoding collision-free users
-            # shrinks its denominator while collided bursts stay put)
-            p_values = [r.p_all_bursts for r in trace.rounds]
+            # p_empirical need not be monotone: decoding collision-free users
+            # shrinks its denominator while collided bursts stay put
             q_values = [r.q_empirical for r in trace.rounds]
-            assert all(b <= a + 1e-12 for a, b in zip(p_values, p_values[1:]))
             assert all(b <= a + 1e-12 for a, b in zip(q_values, q_values[1:]))
             seen = set()
             for r in trace.rounds:
@@ -167,7 +161,7 @@ class TestDecodeFrame:
                 assert not (r.newly_decoded & seen)
                 seen |= r.newly_decoded
             assert seen == set(trace.decoded_users)
-            assert trace.deadlock == (len(seen) < config.n_users)
+            assert (trace.final_p > 0) == (len(seen) < config.n_users)
 
     def test_subtraction_conserves_burst_counts(self):
         rng = random.Random(55)
@@ -215,6 +209,5 @@ class TestEmpiricalP0:
         reference = empirical_p0(placement)
         if trace.rounds:
             assert trace.rounds[0].p_empirical == reference
-            assert trace.rounds[0].p_all_bursts == reference
         else:
             assert trace.final_p == reference

@@ -23,12 +23,9 @@ from helpers import (
     binomial_tail_by_enumeration,
     collided_mass_by_thinning,
     exact_binomial_tail,
+    homogeneous,
     make_placement,
 )
-
-
-def homogeneous(ns, n, k, count, seed=0):
-    return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
 
 
 class TestDecodeProbability:
@@ -196,15 +193,12 @@ class TestDeIterate:
         state = trace.states[0]
         assert state.p == 0.0
         assert state.q == 0.0
-        assert trace.predicted_plr == 0.0
-        assert trace.converged_to_zero
 
     def test_forced_total_collision(self):
         trace = de_iterate(homogeneous(2, 2, 2, 2))
         assert trace.states[0].p == 1.0
-        assert trace.predicted_plr == 1.0
-        assert not trace.converged_to_zero
-        assert de_iterate(homogeneous(2, 2, 2, 2)).predicted_plr == 1.0
+        assert trace.states[-1].q == 1.0
+        assert de_iterate(homogeneous(2, 2, 2, 2)).states[-1].q == 1.0
 
     def test_states_in_range_and_q_monotone(self):
         rng = random.Random(77)
@@ -223,7 +217,6 @@ class TestDeIterate:
                 assert 0.0 <= state.q <= 1.0
                 assert 0.0 <= state.beta <= 1.0
             assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
-            assert trace.predicted_plr == qs[-1]
 
     @fuzzed_mixtures
     def test_fuzzed_mixtures_in_range_and_q_monotone(self, frame):
@@ -266,15 +259,14 @@ class TestDeIterate:
 
     def test_light_load_converges_heavy_load_does_not(self):
         light = de_iterate(homogeneous(100, 3, 1, 10))
-        assert light.converged_to_zero
+        assert light.states[-1].q < density.EPSILON
         heavy = de_iterate(homogeneous(10, 3, 1, 30))
-        assert not heavy.converged_to_zero
-        assert heavy.predicted_plr > 0.5
+        assert heavy.states[-1].q > 0.5
 
     def test_predicted_plr_near_monte_carlo(self):
         # light version of the acceptance comparison
         config = homogeneous(100, 5, 2, 10, seed=3)
-        predicted = de_iterate(config).predicted_plr
+        predicted = de_iterate(config).states[-1].q
         simulated = run_trials(config, 20_000).plr_mean
         assert abs(predicted - simulated) <= 0.05
 

@@ -26,11 +26,7 @@ from csasim import (
 from csasim import montecarlo
 from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
-from helpers import make_placement, random_instance, set_usable_cpus
-
-
-def homogeneous(ns, n, k, count, seed=0):
-    return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
+from helpers import homogeneous, make_placement, random_instance, set_usable_cpus
 
 
 def two_to_three(ns, seed=0):
