@@ -32,7 +32,6 @@ from .montecarlo import (
     aloha_baseline,
     baseline_curve,
     empirical_round_curves,
-    frame_metrics,
     normalized_load,
     run_trials,
     sweep_load,
@@ -63,7 +62,6 @@ __all__ = [
     "empirical_p0",
     "empirical_round_curves",
     "expected_initial_histogram",
-    "frame_metrics",
     "frame_rng",
     "initial_erasure_probability",
     "normalized_load",

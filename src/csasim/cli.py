@@ -82,9 +82,7 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
 
 def _simulate(args: argparse.Namespace) -> SweepResult:
     config = _load_config(args)
-    point = run_trials(config, args.frames, args.workers)
-    codes = tuple(code for code, _ in config.code_groups)
-    return SweepResult(ns=config.ns, codes=codes, seed=config.seed, points=(point,))
+    return SweepResult.of(config, [run_trials(config, args.frames, args.workers)])
 
 
 def _sweep(args: argparse.Namespace) -> SweepResult:

@@ -85,9 +85,10 @@ def emit_csv(
 
     A path is written atomically: the rows go to a temporary file in the same
     directory, which then replaces the file, so a failed write leaves any
-    earlier file there intact. A symlink's target is replaced, not the link.
-    A FIFO, a device or anything else that is not a regular file is written
-    to directly, as it cannot be replaced.
+    earlier file there intact; the ``OSError`` names ``sink``, not the
+    temporary file. A symlink's target is replaced, not the link. A FIFO, a
+    device or anything else that is not a regular file is written to
+    directly, as it cannot be replaced.
     """
     header, rows = _rows(result)
     if not isinstance(sink, (str, os.PathLike)):
@@ -103,9 +104,11 @@ def emit_csv(
         with open(tmp, "w", newline="") as handle:
             _write(handle, header, rows)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):  # name sink, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from exc
         raise
 
 

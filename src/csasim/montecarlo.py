@@ -1,14 +1,16 @@
-"""Monte Carlo harness: per-frame metrics, trial aggregation, load sweeps.
+"""Monte Carlo harness: per-frame counts, trial aggregation, load sweeps.
 
 Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
-Workers fill disjoint index ranges of one result array and the statistics
-are reduced over that array in index order, which makes aggregates
-bit-identical no matter how the work was split. A load sweep takes the
-``SystemConfig`` it sweeps: each load's users mix that config's code groups,
-weighted by their user counts, on its frame size and seed. Its result is one
-``SweepResult``: the frame size, user codes and seed it shares, stated once,
-and one ``TrialAggregate`` per realized load.
+Each frame reports integer counts: its decoder rounds, undecoded users and
+lost payload. Workers fill disjoint index ranges of one count array; a point
+derives every frame's throughput and loss ratio from it at once and reduces
+them in index order, which makes aggregates bit-identical no matter how the
+work was split. A load sweep takes the ``SystemConfig`` it sweeps: each
+load's users mix that config's code groups, weighted by their user counts,
+on its frame size and seed. Its result is one ``SweepResult``: the frame
+size, user codes and seed it shares, stated once, and one
+``TrialAggregate`` per realized load.
 """
 from __future__ import annotations
 
@@ -65,6 +67,13 @@ class SweepResult:
     points: tuple[TrialAggregate, ...]
     skipped: tuple[tuple[float, str], ...] = ()
 
+    @classmethod
+    def of(cls, config: SystemConfig, points: Sequence[TrialAggregate], skipped=()) -> SweepResult:
+        """Result of ``points`` run on ``config``'s frame size and seed, labelled
+        by its code groups (a light load can apportion 0 users to a code)."""
+        codes = tuple(code for code, _ in config.code_groups)
+        return cls(config.ns, codes, config.seed, tuple(points), tuple(skipped))
+
     @property
     def argmax_g(self) -> float:
         """Load of the first point with the largest mean throughput."""
@@ -88,29 +97,18 @@ def normalized_load(config: SystemConfig) -> float:
     return config.total_payload / config.ns
 
 
-def frame_metrics(config: SystemConfig, undecoded: np.ndarray) -> tuple[float, float]:
-    """(throughput, packet loss ratio) of one frame from its undecoded-user mask.
-
-    Throughput counts the payload bursts of decoded users per slot; the loss
-    ratio is the fraction of users whose whole block stayed undecoded.
-    """
-    payload = int(config.thresholds[~undecoded].sum())
-    return payload / config.ns, int(undecoded.sum()) / config.n_users
-
-
-def _simulate_range(
-    config: SystemConfig, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate frame indices [start, stop); returns (t, plr, rounds) arrays."""
-    count = stop - start
-    t = np.empty(count)
-    plr = np.empty(count)
-    rounds = np.empty(count)
-    for j in range(count):
-        placement = place_frame(config, start + j)
-        undecoded, _, _, rounds[j] = _peel(config, placement, record=False)
-        t[j], plr[j] = frame_metrics(config, undecoded)
-    return t, plr, rounds
+def _simulate_range(config: SystemConfig, start: int, stop: int) -> np.ndarray:
+    """Simulate frame indices [start, stop). Returns an int64 (3, stop - start)
+    array whose rows hold each frame's productive decoder rounds, undecoded
+    users and payload bursts of those users (lost payload)."""
+    counts = np.empty((3, stop - start), dtype=np.int64)
+    rounds, undecoded_users, lost_payload = counts
+    thresholds = config.thresholds
+    for j in range(stop - start):
+        undecoded, _, _, rounds[j] = _peel(config, place_frame(config, start + j), record=False)
+        undecoded_users[j] = np.count_nonzero(undecoded)
+        lost_payload[j] = thresholds[undecoded].sum()
+    return counts
 
 
 def _process_count(workers: int, frames: int) -> int:
@@ -135,8 +133,8 @@ def _check_frames(frames: int) -> None:
     if frames > sys.maxsize:
         raise ValueError(f"frames must be <= {sys.maxsize}, got {frames}")
     try:
-        # the (t, plr, rounds) arrays run_trials reduces; untouched pages cost nothing
-        np.empty((3, frames))
+        # the per-frame counts run_trials reduces; untouched pages cost nothing
+        np.empty((3, frames), dtype=np.int64)
     except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
         raise MemoryError(f"cannot hold the results of {frames} frames") from None
 
@@ -163,7 +161,7 @@ def run_trials(
     *,
     chunks: Sequence[Future] | None = None,
 ) -> TrialAggregate:
-    """Average frame metrics over ``frames`` independent placements.
+    """Average throughput and loss ratio over ``frames`` independent placements.
 
     ``chunks`` are this point's frames already queued on a sweep's pool (see
     ``sweep_load``); their results are read here. Without them, more than one
@@ -179,8 +177,11 @@ def run_trials(
     else:
         parts = [_simulate_range(config, 0, frames)]
     # chunks are keyed by frame index, so concatenation reproduces the
-    # single-pass arrays bit for bit
-    t, plr, rounds = (np.concatenate(arrays) for arrays in zip(*parts))
+    # single-pass counts
+    rounds, undecoded_users, lost_payload = np.concatenate(parts, axis=1)
+    # counts below 2**53 are exact in float64, so each ratio is correctly rounded
+    t = (config.total_payload - lost_payload) / config.ns
+    plr = undecoded_users / config.n_users
 
     def half_width(x: np.ndarray) -> float:
         if frames < 2:
@@ -260,9 +261,6 @@ def sweep_load(
     are outstanding. If a point fails, the chunks still queued are cancelled.
     """
     _check_frames(frames)
-    # labels come from the config: a light load can apportion 0 users to a code
-    codes = tuple(code for code, _ in config.code_groups)
-
     skipped: list[tuple[float, str]] = []
     configs = _realizable(config, g_values, skipped)
     first = next(configs, None)
@@ -289,10 +287,7 @@ def sweep_load(
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
-    points.sort(key=lambda pt: pt.g)
-    return SweepResult(
-        ns=config.ns, codes=codes, seed=config.seed, points=tuple(points), skipped=tuple(skipped)
-    )
+    return SweepResult.of(config, sorted(points, key=lambda pt: pt.g), skipped)
 
 
 def aloha_baseline(g: float, variant: str) -> float:

@@ -235,7 +235,10 @@ class TestCommandLine:
         out = tmp_path / "missing_dir" / "x.csv"
         code = main(["de", "--config", str(config_file), "--out", str(out)])
         assert code == 1
-        assert "missing_dir" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the path as given, not the temporary file written beside it
+        assert repr(str(out)) in err
+        assert ".tmp" not in err
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

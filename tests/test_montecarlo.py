@@ -15,7 +15,6 @@ from csasim import (
     aloha_baseline,
     baseline_curve,
     empirical_round_curves,
-    frame_metrics,
     normalized_load,
     place_frame,
     render_csv,
@@ -100,30 +99,53 @@ class TestNormalizedLoad:
         assert normalized_load(config) == pytest.approx(0.3)
 
 
-def undecoded_mask(config, placement):
-    return _peel(config, placement, record=False)[0]
+def one_frame(monkeypatch, config, placement):
+    """Aggregate of a one-frame run_trials whose frame is ``placement``."""
+    monkeypatch.setattr(montecarlo, "place_frame", lambda config, frame_index: placement)
+    return run_trials(config, frames=1)
 
 
 class TestFrameMetrics:
-    def test_all_decoded(self):
+    def test_all_decoded(self, monkeypatch):
         config = homogeneous(100, 3, 2, 10)
-        undecoded = undecoded_mask(config, place_frame(config, 0))
-        if not undecoded.any():  # overwhelmingly likely at this load
-            t, plr = frame_metrics(config, undecoded)
-            assert t == pytest.approx(0.2)
-            assert plr == 0.0
+        placement = make_placement(100, [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(10)])
+        agg = one_frame(monkeypatch, config, placement)
+        assert agg.t_mean == pytest.approx(0.2)
+        assert agg.plr_mean == 0.0
 
-    def test_total_deadlock(self):
+    def test_total_deadlock(self, monkeypatch):
         config = homogeneous(2, 2, 1, 2)
-        undecoded = undecoded_mask(config, make_placement(2, [[0, 1], [0, 1]]))
-        assert frame_metrics(config, undecoded) == (0.0, 1.0)
+        agg = one_frame(monkeypatch, config, make_placement(2, [[0, 1], [0, 1]]))
+        assert (agg.t_mean, agg.plr_mean) == (0.0, 1.0)
 
-    def test_cancellation_chain_frame(self):
+    def test_cancellation_chain_frame(self, monkeypatch):
         config = homogeneous(8, 4, 2, 3)
         placement = make_placement(8, [[0, 1, 2, 3], [2, 4, 5, 6], [3, 5, 6, 7]])
-        t, plr = frame_metrics(config, undecoded_mask(config, placement))
-        assert t == pytest.approx(6 / 8)
-        assert plr == 0.0
+        agg = one_frame(monkeypatch, config, placement)
+        assert agg.t_mean == pytest.approx(6 / 8)
+        assert agg.plr_mean == 0.0
+
+
+class TestSimulateRange:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the mc-sweep benchmark mix at g=0.8, where many frames deadlock
+            SystemConfig(ns=400, users=users_for_load(two_to_three(400), 0.8), seed=1),
+            # dense: every n above ns/2
+            SystemConfig(ns=9, users=(UserCode(5, 1), UserCode(6, 2), UserCode(7, 1)), seed=3),
+        ],
+        ids=["sweep-mix-g0.8", "dense"],
+    )
+    def test_counts_match_peel_frame_by_frame(self, config):
+        start, stop = 7, 67
+        counts = montecarlo._simulate_range(config, start, stop)
+        assert counts.dtype == np.int64 and counts.shape == (3, stop - start)
+        for j, column in enumerate(counts.T.tolist()):
+            undecoded, _, _, n_rounds = _peel(config, place_frame(config, start + j), record=False)
+            lost = [user for user, missed in zip(config.users, undecoded.tolist()) if missed]
+            assert column == [n_rounds, len(lost), sum(user.k for user in lost)]
+        assert counts[1].any()  # deadlocked frames are covered
 
 
 class TestRunTrials:
