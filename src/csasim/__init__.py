@@ -8,7 +8,7 @@ sweeps and confidence intervals, and a CSV-emitting command line.
 """
 from .configfile import ConfigError, parse_config, render_config
 from .csvio import emit_csv, render_csv
-from .decoder import DecodeTrace, RoundRecord, decode_frame, empirical_p0
+from .decoder import DecodeTrace, RoundRecord, decode_frame, empirical_p0, empirical_round_curves
 from .density import (
     DEState,
     DETrace,
@@ -31,7 +31,6 @@ from .montecarlo import (
     TrialAggregate,
     aloha_baseline,
     baseline_curve,
-    empirical_round_curves,
     normalized_load,
     run_trials,
     sweep_load,

@@ -63,12 +63,12 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
     if isinstance(result, DecodeTrace):
         rows = [
             [
-                record.round_index,
+                l,
                 ";".join(str(i) for i in sorted(record.newly_decoded)),
                 _fmt(record.p_empirical),
                 _fmt(record.q_empirical),
             ]
-            for record in result.rounds
+            for l, record in enumerate(result.rounds)
         ]
         return TRACE_HEADER, rows
     if isinstance(result, BaselineCurve):

@@ -125,13 +125,22 @@ class FramePlacement:
     ``slot_of_burst`` lists the slots of all bursts, user after user in config
     order: user ``i``'s n_i bursts follow the n_0 + ... + n_(i-1) bursts of the
     users before it, in distinct slots sorted ascending. ``degree_of_slot[s]``
-    counts the bursts in slot ``s``. Nothing in this package mutates a
-    placement after construction.
+    counts the bursts in slot ``s``, derived on construction. Nothing in this
+    package mutates a placement after construction.
     """
 
     ns: int
     slot_of_burst: np.ndarray
-    degree_of_slot: np.ndarray = field(repr=False)
+    degree_of_slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            degree = np.bincount(self.slot_of_burst, minlength=self.ns)
+        except ValueError:  # a negative slot
+            degree = None
+        if degree is None or degree.size > self.ns:  # or a slot at or above ns
+            raise ValueError(f"slots must lie in [0, {self.ns})")
+        object.__setattr__(self, "degree_of_slot", degree)
 
     @property
     def total_bursts(self) -> int:
@@ -175,8 +184,7 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
             rows[bad] = drawn
             bad = bad[(drawn[:, 1:] == drawn[:, :-1]).any(axis=1)]
         slot_of_burst[at] = rows
-    degree = np.bincount(slot_of_burst, minlength=ns)
-    return FramePlacement(ns=ns, slot_of_burst=slot_of_burst, degree_of_slot=degree)
+    return FramePlacement(ns=ns, slot_of_burst=slot_of_burst)
 
 
 def expected_initial_histogram(config: SystemConfig) -> np.ndarray:

@@ -9,8 +9,8 @@ them in index order, which makes aggregates bit-identical no matter how the
 work was split. A load sweep takes the ``SystemConfig`` it sweeps: each
 load's users mix that config's code groups, weighted by their user counts,
 on its frame size and seed. Its result is one ``SweepResult``: the frame
-size, user codes and seed it shares, stated once, and one
-``TrialAggregate`` per realized load.
+size, user codes and seed it shares, stated once, and one ``TrialAggregate``
+per realized load. The decoder's per-round curves are in ``decoder``.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .decoder import _peel, decode_frame
+from .decoder import _peel
 from .model import SystemConfig, UserCode, place_frame
 
 logger = logging.getLogger(__name__)
@@ -105,7 +105,7 @@ def _simulate_range(config: SystemConfig, start: int, stop: int) -> np.ndarray:
     rounds, undecoded_users, lost_payload = counts
     thresholds = config.thresholds
     for j in range(stop - start):
-        undecoded, _, _, rounds[j] = _peel(config, place_frame(config, start + j), record=False)
+        undecoded, _, _, rounds[j] = _peel(config, place_frame(config, start + j))
         undecoded_users[j] = np.count_nonzero(undecoded)
         lost_payload[j] = thresholds[undecoded].sum()
     return counts
@@ -307,27 +307,3 @@ def baseline_curve(g_values: Sequence[float], variant: str) -> BaselineCurve:
         points=tuple((float(g), aloha_baseline(g, variant)) for g in g_values),
     )
 
-
-def empirical_round_curves(
-    config: SystemConfig, frames: int, num_rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round Monte Carlo means of the decoder's (p, q) statistics.
-
-    Frames whose decoding ends before ``num_rounds`` contribute their
-    fixpoint values to the later rounds, mirroring a decoder that keeps
-    iterating without progress.
-    """
-    p_sum = np.zeros(num_rounds)
-    q_sum = np.zeros(num_rounds)
-    nu = config.n_users
-    for frame_index in range(frames):
-        trace = decode_frame(config, place_frame(config, frame_index))
-        final_q = 1.0 - len(trace.decoded_users) / nu
-        for l in range(num_rounds):
-            if l < len(trace.rounds):
-                p_sum[l] += trace.rounds[l].p_empirical
-                q_sum[l] += trace.rounds[l].q_empirical
-            else:
-                p_sum[l] += trace.final_p
-                q_sum[l] += final_q
-    return p_sum / frames, q_sum / frames

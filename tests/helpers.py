@@ -30,8 +30,7 @@ def homogeneous(ns: int, n: int, k: int, count: int, seed: int = 0) -> SystemCon
 def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:
     """Hand-built placement from explicit per-user slot lists."""
     flat = np.concatenate([np.array(sorted(s), dtype=np.int64) for s in slots])
-    degree = np.bincount(flat, minlength=ns)
-    return FramePlacement(ns=ns, slot_of_burst=flat, degree_of_slot=degree)
+    return FramePlacement(ns=ns, slot_of_burst=flat)
 
 
 def slots_by_user(config: SystemConfig, placement: FramePlacement) -> list[np.ndarray]:

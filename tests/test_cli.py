@@ -747,7 +747,8 @@ def test_package_source_has_no_assert():
 
 def test_package_source_imports_no_private_name_across_modules():
     # montecarlo's `_peel` import goes once the benchmark stops tracing `_peel`
-    # by name (ROADMAP item 1) and the batched peel becomes public (item 5)
+    # by name (ROADMAP item 1), the batched peel lands (item 2) and becomes
+    # public (item 6)
     allowed = {("montecarlo.py", "decoder", "_peel")}
     package = Path(cli.__file__).resolve().parent
     found = [

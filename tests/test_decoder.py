@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from csasim import SystemConfig, UserCode, decode_frame, empirical_p0, place_frame
+from csasim import (
+    FramePlacement,
+    SystemConfig,
+    UserCode,
+    decode_frame,
+    empirical_p0,
+    place_frame,
+)
 from csasim.decoder import _peel
 from helpers import (
     make_placement,
@@ -25,7 +32,6 @@ class TestDecodeFrame:
         assert trace.decoded_users == frozenset({0})
         assert len(trace.rounds) == 1
         record = trace.rounds[0]
-        assert record.round_index == 0
         assert record.newly_decoded == frozenset({0})
         assert record.p_empirical == 0.0
         assert record.q_empirical == 0.0
@@ -91,7 +97,7 @@ class TestDecodeFrame:
             rounds, undecoded, final_p = synchronous_rounds_oracle(
                 config.ns, list(config.users), slots
             )
-            mask, _, _, n_rounds = _peel(config, placement, record=False)
+            mask, _, _, n_rounds = _peel(config, placement)
             assert n_rounds == len(rounds)
             assert set(np.flatnonzero(mask).tolist()) == undecoded
             trace = decode_frame(config, placement)
@@ -100,7 +106,6 @@ class TestDecodeFrame:
                 (set(r.newly_decoded), r.p_empirical, r.q_empirical)
                 for r in trace.rounds
             ] == rounds
-            assert [r.round_index for r in trace.rounds] == list(range(n_rounds))
             seen["k > 1"] += any(u.k > 1 for u in config.users)
             seen["n > ns/2"] += any(2 * u.n > config.ns for u in config.users)
             seen["ns = 1"] += config.ns == 1
@@ -176,6 +181,18 @@ class TestDecodeFrame:
                 for i in range(config.n_users)
                 if i not in trace.decoded_users
             )
+
+    def test_rejects_slots_outside_the_frame(self):
+        config = config_for(10, [(3, 1)] * 3)
+        slots = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        for bad in (12, -1):
+            with pytest.raises(ValueError, match=r"\[0, 10\)"):
+                decode_frame(config, make_placement(10, slots[:2] + [[6, 7, bad]]))
+        # the slot degrees are derived, so they cannot disagree with the slots
+        flat = np.concatenate(slots)
+        with pytest.raises(TypeError):
+            FramePlacement(10, flat, degree_of_slot=np.full(10, 2))
+        assert FramePlacement(10, flat).degree_of_slot.tolist() == [1] * 9 + [0]
 
     def test_rejects_mismatched_placement(self):
         config = config_for(4, [(2, 1)])

@@ -14,6 +14,7 @@ from csasim import (
     UserCode,
     aloha_baseline,
     baseline_curve,
+    decode_frame,
     empirical_round_curves,
     normalized_load,
     place_frame,
@@ -142,7 +143,7 @@ class TestSimulateRange:
         counts = montecarlo._simulate_range(config, start, stop)
         assert counts.dtype == np.int64 and counts.shape == (3, stop - start)
         for j, column in enumerate(counts.T.tolist()):
-            undecoded, _, _, n_rounds = _peel(config, place_frame(config, start + j), record=False)
+            undecoded, _, _, n_rounds = _peel(config, place_frame(config, start + j))
             lost = [user for user, missed in zip(config.users, undecoded.tolist()) if missed]
             assert column == [n_rounds, len(lost), sum(user.k for user in lost)]
         assert counts[1].any()  # deadlocked frames are covered
@@ -410,3 +411,28 @@ class TestRoundCurves:
         _, q = empirical_round_curves(config, frames=frames, num_rounds=12)
         agg = run_trials(config, frames=frames)
         assert q[-1] == pytest.approx(agg.plr_mean, abs=1e-12)
+
+    def test_matches_decode_frame_past_the_fixpoint(self):
+        config = homogeneous(20, 3, 1, 12, seed=5)
+        frames, num_rounds = 300, config.n_users + 1  # above any frame's rounds
+        p, q = empirical_round_curves(config, frames=frames, num_rounds=num_rounds)
+        p_sum, q_sum = np.zeros(num_rounds), np.zeros(num_rounds)
+        deadlocked = 0
+        for j in range(frames):
+            trace = decode_frame(config, place_frame(config, j))
+            final_q = 1.0 - len(trace.decoded_users) / config.n_users
+            p_sum += [r.p_empirical for r in trace.rounds] + [trace.final_p] * (
+                num_rounds - len(trace.rounds)
+            )
+            q_sum += [r.q_empirical for r in trace.rounds] + [final_q] * (
+                num_rounds - len(trace.rounds)
+            )
+            deadlocked += trace.final_p > 0
+        assert 0 < deadlocked < frames
+        assert np.array_equal(p, p_sum / frames)
+        np.testing.assert_allclose(q, q_sum / frames, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("frames, num_rounds", [(0, 4), (-3, 4), (5, -1)])
+    def test_rejects_bad_arguments(self, frames, num_rounds):
+        with pytest.raises(ValueError, match=f"got {frames} and {num_rounds}"):
+            empirical_round_curves(homogeneous(10, 3, 1, 2), frames=frames, num_rounds=num_rounds)
