@@ -7,8 +7,8 @@ recursion predicting decoder behaviour, a Monte Carlo harness with load
 sweeps and confidence intervals, and a CSV-emitting command line.
 """
 from .configfile import ConfigError, parse_config, render_config
-from .csvio import emit_csv, render_csv
-from .decoder import DecodeTrace, RoundRecord, decode_frame, empirical_p0, empirical_round_curves
+from .csvio import emit_csv
+from .decoder import DecodeTrace, RoundRecord, decode_frame, empirical_round_curves
 from .density import (
     DEState,
     DETrace,
@@ -58,7 +58,6 @@ __all__ = [
     "decode_frame",
     "decode_probability",
     "emit_csv",
-    "empirical_p0",
     "empirical_round_curves",
     "expected_initial_histogram",
     "frame_rng",
@@ -67,7 +66,6 @@ __all__ = [
     "parse_config",
     "place_frame",
     "render_config",
-    "render_csv",
     "run_trials",
     "sweep_load",
     "users_for_load",

@@ -25,9 +25,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration text."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def _parse_int(key: str, value: str, line: int) -> int:

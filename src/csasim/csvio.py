@@ -9,14 +9,15 @@ digits, rows in ascending round / load order):
     baseline  g,throughput,variant
 
 A sweep row's ``n`` and ``k`` are the semicolon-joined n and k of the
-result's codes, and ``newly_decoded`` is a semicolon-joined list of user
-indices. Identical inputs always produce byte-identical files.
+result's codes, ``newly_decoded`` is a semicolon-joined list of user
+indices, and ``l`` is the index of a ``de`` state or a ``trace`` round.
+``emit_csv`` writes one result to a file path; identical inputs always
+produce byte-identical files.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
 from typing import IO, Any
 
@@ -56,8 +57,8 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
         return SWEEP_HEADER, rows
     if isinstance(result, DETrace):
         rows = [
-            [state.l, _fmt(state.p), _fmt(state.q), _fmt(state.beta)]
-            for state in result.states
+            [l, _fmt(state.p), _fmt(state.q), _fmt(state.beta)]
+            for l, state in enumerate(result.states)
         ]
         return DE_HEADER, rows
     if isinstance(result, DecodeTrace):
@@ -79,21 +80,18 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
 
 def emit_csv(
     result: SweepResult | DETrace | DecodeTrace | BaselineCurve,
-    sink: str | os.PathLike[str] | IO[str],
+    sink: str | os.PathLike[str],
 ) -> None:
-    """Write a result to a path or text stream in its fixed schema.
+    """Write a result to the file at path ``sink`` in its fixed schema.
 
-    A path is written atomically: the rows go to a temporary file in the same
-    directory, which then replaces the file, so a failed write leaves any
+    The file is written atomically: the rows go to a temporary file in the
+    same directory, which then replaces the file, so a failed write leaves any
     earlier file there intact; the ``OSError`` names ``sink``, not the
     temporary file. A symlink's target is replaced, not the link. A FIFO, a
     device or anything else that is not a regular file is written to
     directly, as it cannot be replaced.
     """
     header, rows = _rows(result)
-    if not isinstance(sink, (str, os.PathLike)):
-        _write(sink, header, rows)
-        return
     if os.path.exists(sink) and not os.path.isfile(sink):
         with open(sink, "w", newline="") as handle:
             _write(handle, header, rows)
@@ -116,9 +114,3 @@ def _write(handle: IO[str], header: list[str], rows: list[list[Any]]) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def render_csv(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> str:
-    buffer = io.StringIO()
-    emit_csv(result, buffer)
-    return buffer.getvalue()

@@ -126,6 +126,8 @@ def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace
     """Peel one frame to its fixpoint and record per-round statistics."""
     if placement.ns != config.ns or placement.total_bursts != config.total_bursts:
         raise ValueError("placement does not match config")
+    if np.unique(config.user_of_burst * config.ns + placement.slot_of_burst).size < config.total_bursts:
+        raise ValueError("a user's bursts must lie in distinct slots")
     _, decoded_by_round, _, _ = _peel(config, placement)
     p, q = _round_statistics(config, placement, decoded_by_round).tolist()
     newly_decoded = [frozenset(np.flatnonzero(d).tolist()) for d in decoded_by_round]
@@ -148,8 +150,3 @@ def empirical_round_curves(
         # rounds past the fixpoint read its column
         sums += stats[:, np.minimum(np.arange(num_rounds), stats.shape[1] - 1)]
     return sums[0] / frames, sums[1] / frames
-
-
-def empirical_p0(placement: FramePlacement) -> float:
-    """Fraction of bursts lying in collided slots of a fresh placement."""
-    return _collided_fraction(placement.degree_of_slot)

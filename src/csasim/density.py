@@ -52,9 +52,8 @@ _BAND = 1e-9  # tolerance for float dust around [0, 1] before clamping
 
 @dataclass(frozen=True)
 class DEState:
-    """Recursion state at round l."""
+    """Recursion state at one round; state l is ``DETrace.states[l]``."""
 
-    l: int
     p: float
     q: float
     beta: float
@@ -171,7 +170,7 @@ def de_iterate(config: SystemConfig) -> DETrace:
             # numerator floored at zero so float dust in q cannot leak into
             # beta through the 1/q_prev amplification
             beta = min(max(q_prev - q, 0.0) / q_prev, 1.0)
-        states.append(DEState(l=l, p=p, q=q, beta=beta))
+        states.append(DEState(p=p, q=q, beta=beta))
         if q < EPSILON:
             break
 

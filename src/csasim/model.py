@@ -85,11 +85,6 @@ class SystemConfig:
         return tuple(Counter(self.users).items())
 
     @cached_property
-    def burst_counts(self) -> np.ndarray:
-        """Bursts n_i of each user, in user order (read-only)."""
-        return _read_only(np.array([u.n for u in self.users], dtype=np.int64))
-
-    @cached_property
     def thresholds(self) -> np.ndarray:
         """Clean bursts k_i each user needs, in user order (read-only)."""
         return _read_only(np.array([u.k for u in self.users], dtype=np.int64))
@@ -97,7 +92,7 @@ class SystemConfig:
     @cached_property
     def user_of_burst(self) -> np.ndarray:
         """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
-        return _read_only(np.repeat(np.arange(self.n_users), self.burst_counts))
+        return _read_only(np.repeat(np.arange(self.n_users), [u.n for u in self.users]))
 
     @cached_property
     def placement_groups(self) -> tuple[np.ndarray, ...]:
@@ -106,10 +101,11 @@ class SystemConfig:
         Groups are in ascending n, the order in which ``place_frame`` draws
         them, and each group is read-only with shape (users with n, n).
         """
-        n_of_burst = self.burst_counts[self.user_of_burst]
+        burst_counts = np.array([u.n for u in self.users])
+        n_of_burst = burst_counts[self.user_of_burst]
         return tuple(
             _read_only(np.flatnonzero(n_of_burst == n).reshape(-1, n))
-            for n in np.unique(self.burst_counts).tolist()
+            for n in np.unique(burst_counts).tolist()
         )
 
 

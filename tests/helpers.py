@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,12 @@ def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:
     """Hand-built placement from explicit per-user slot lists."""
     flat = np.concatenate([np.array(sorted(s), dtype=np.int64) for s in slots])
     return FramePlacement(ns=ns, slot_of_burst=flat)
+
+
+def collided_share(slots: list[int]) -> float:
+    """Share of the bursts, one slot each in ``slots``, whose slot holds another burst."""
+    counts = Counter(slots)
+    return sum(counts[s] >= 2 for s in slots) / len(slots) if slots else 0.0
 
 
 def slots_by_user(config: SystemConfig, placement: FramePlacement) -> list[np.ndarray]:

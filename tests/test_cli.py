@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +20,6 @@ from csasim import (
     UserCode,
     parse_config,
     render_config,
-    render_csv,
 )
 from csasim import cli, csvio, montecarlo
 from csasim.cli import main, parse_g_spec
@@ -696,6 +696,30 @@ def test_every_export_resolves():
     assert [name for name in csasim.__all__ if not hasattr(csasim, name)] == []
 
 
+def test_every_export_has_a_caller_or_a_reader():
+    # an export that no package module calls and the README does not
+    # document is dead API
+    import csasim
+
+    package = Path(cli.__file__).resolve().parent
+    lines = [
+        line
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for line in path.read_text().splitlines()
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def used(name):
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"\s*(def|class) {name}\b")
+        return bool(word.search(readme)) or any(
+            word.search(line) and not own.match(line) for line in lines
+        )
+
+    assert [name for name in csasim.__all__ if not used(name)] == []
+
+
 def load_perfbench(name):
     """Module ``perfbench/<name>.py``, loaded by path: perfbench is no package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -763,11 +787,13 @@ def test_package_source_imports_no_private_name_across_modules():
 
 
 class TestCsvFormatting:
-    def test_six_significant_digits(self):
-        from csasim import de_iterate
+    def test_six_significant_digits(self, tmp_path):
+        from csasim import de_iterate, emit_csv
 
         config = parse_config("ns=25\nusers=10x(3,1)\n")
-        text = render_csv(de_iterate(config))
+        out = tmp_path / "de.csv"
+        emit_csv(de_iterate(config), out)
+        text = out.read_text()
         for line in text.splitlines()[1:]:
             for cell in line.split(",")[1:]:
                 mantissa = cell.replace(".", "").lstrip("-0").split("e")[0]

@@ -8,11 +8,11 @@ from csasim import (
     SystemConfig,
     UserCode,
     decode_frame,
-    empirical_p0,
     place_frame,
 )
 from csasim.decoder import _peel
 from helpers import (
+    collided_share,
     make_placement,
     peel_oracle,
     random_instance,
@@ -194,6 +194,14 @@ class TestDecodeFrame:
             FramePlacement(10, flat, degree_of_slot=np.full(10, 2))
         assert FramePlacement(10, flat).degree_of_slot.tolist() == [1] * 9 + [0]
 
+    def test_rejects_a_user_repeating_a_slot(self):
+        config = config_for(10, [(3, 2)])
+        with pytest.raises(ValueError, match="distinct slots"):
+            decode_frame(config, make_placement(10, [[3, 3, 5]]))
+        # only repetition is a fault: distinct slots in any order decode
+        unsorted = FramePlacement(10, np.array([5, 4, 3]))
+        assert decode_frame(config, unsorted).decoded_users == {0}
+
     def test_rejects_mismatched_placement(self):
         config = config_for(4, [(2, 1)])
         placement = make_placement(5, [[0, 1]])
@@ -201,19 +209,27 @@ class TestDecodeFrame:
             decode_frame(config, placement)
 
 
+def empirical_p0(config, placement):
+    """A fresh placement's collided fraction, as ``decode_frame`` reports it:
+    its first round's ``p_empirical``, or ``final_p`` if no round decodes."""
+    trace = decode_frame(config, placement)
+    return trace.rounds[0].p_empirical if trace.rounds else trace.final_p
+
+
 class TestEmpiricalP0:
     def test_forced_placement_fully_collided(self):
         placement = make_placement(2, [[0, 1], [0, 1]])
-        assert empirical_p0(placement) == 1.0
+        assert empirical_p0(config_for(2, [(2, 1)] * 2), placement) == 1.0
 
     def test_single_user_collision_free(self):
         placement = make_placement(6, [[0, 2, 4]])
-        assert empirical_p0(placement) == 0.0
+        assert empirical_p0(config_for(6, [(3, 1)]), placement) == 0.0
 
     def test_enumeration_average_two_singleton_users(self):
         # placements (0,0) and (1,1) give p0=1, the rest 0, so the mean is 1/2
+        config = config_for(2, [(1, 1)] * 2)
         values = [
-            empirical_p0(make_placement(2, [[a], [b]]))
+            empirical_p0(config, make_placement(2, [[a], [b]]))
             for a in range(2)
             for b in range(2)
         ]
@@ -223,7 +239,7 @@ class TestEmpiricalP0:
         config = config_for(12, [(3, 1)] * 6, seed=8)
         placement = place_frame(config, 4)
         trace = decode_frame(config, placement)
-        reference = empirical_p0(placement)
+        reference = collided_share(placement.slot_of_burst.tolist())
         if trace.rounds:
             assert trace.rounds[0].p_empirical == reference
         else:

@@ -12,7 +12,6 @@ from csasim import (
     UserCode,
     de_iterate,
     decode_probability,
-    empirical_p0,
     initial_erasure_probability,
     parse_config,
     run_trials,
@@ -22,9 +21,9 @@ from csasim.density import _collided_mass
 from helpers import (
     binomial_tail_by_enumeration,
     collided_mass_by_thinning,
+    collided_share,
     exact_binomial_tail,
     homogeneous,
-    make_placement,
 )
 
 
@@ -101,7 +100,7 @@ class TestInitialErasureProbability:
         config = SystemConfig(ns=ns, users=tuple(UserCode(*c) for c in codes))
         pools = [list(combinations(range(ns), n)) for n, _ in codes]
         values = [
-            empirical_p0(make_placement(ns, [list(c) for c in choice]))
+            collided_share([s for c in choice for s in c])
             for choice in product(*pools)
         ]
         mean = sum(values) / len(values)

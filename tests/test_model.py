@@ -65,10 +65,9 @@ class TestCodeGroups:
 class TestBurstArrays:
     def test_cached_read_only_and_aligned(self):
         config = SystemConfig(ns=6, users=(UserCode(3, 1), UserCode(1, 1), UserCode(2, 2)))
-        assert config.burst_counts.tolist() == [3, 1, 2]
         assert config.thresholds.tolist() == [1, 1, 2]
         assert config.user_of_burst.tolist() == [0, 0, 0, 1, 2, 2]
-        for name in ("burst_counts", "thresholds", "user_of_burst"):
+        for name in ("thresholds", "user_of_burst"):
             array = getattr(config, name)
             assert array is getattr(config, name)
             assert not array.flags.writeable
@@ -84,7 +83,7 @@ class TestBurstArrays:
         assert [g.tolist() for g in groups] == [[[3]], [[4, 5]], [[0, 1, 2]]]
         for group in groups:
             assert not group.flags.writeable
-            n_of_position = config.burst_counts[config.user_of_burst[group]]
+            n_of_position = np.array([3, 1, 2])[config.user_of_burst[group]]
             assert (n_of_position == group.shape[1]).all()
         covered = np.sort(np.concatenate([g.ravel() for g in groups]))
         assert covered.tolist() == list(range(config.total_bursts))

@@ -15,10 +15,10 @@ from csasim import (
     aloha_baseline,
     baseline_curve,
     decode_frame,
+    emit_csv,
     empirical_round_curves,
     normalized_load,
     place_frame,
-    render_csv,
     run_trials,
     sweep_load,
     users_for_load,
@@ -366,13 +366,15 @@ class TestSweepLoad:
         assert len(calls) == len(self.SCHEDULED_LOADS) - 1
         assert chunks == [(0, 30)] * len(calls)
 
-    def test_csv_bytes_identical_across_usable_cpus(self, monkeypatch):
+    def test_csv_bytes_identical_across_usable_cpus(self, monkeypatch, tmp_path):
         texts = []
+        out = tmp_path / "sweep.csv"
         for cpus in (1, 2, 3):
             set_usable_cpus(monkeypatch, cpus)
             result = self.scheduled_sweep(workers=3)
             assert len(result.points) == 4 and result.skipped[0][0] == 0.01
-            texts.append(render_csv(result))
+            emit_csv(result, out)
+            texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
 
