@@ -27,7 +27,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from typing import Callable
 
-from .configfile import ConfigError, parse_config
+from .configfile import parse_config
 from .csvio import emit_csv
 from .decoder import DecodeTrace, decode_frame
 from .density import DETrace, de_iterate
@@ -82,7 +82,7 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
 
 def _simulate(args: argparse.Namespace) -> SweepResult:
     config = _load_config(args)
-    return SweepResult.of(config, [run_trials(config, args.frames, args.workers)])
+    return SweepResult(config, (run_trials(config, args.frames, args.workers),))
 
 
 def _sweep(args: argparse.Namespace) -> SweepResult:
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         emit_csv(args.run(args), args.out)
-    except (ConfigError, ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -9,8 +9,8 @@ digits, rows in ascending round / load order):
     baseline  g,throughput,variant
 
 A sweep row's ``n`` and ``k`` are the semicolon-joined n and k of the
-result's codes, ``newly_decoded`` is a semicolon-joined list of user
-indices, and ``l`` is the index of a ``de`` state or a ``trace`` round.
+swept config's code groups, ``newly_decoded`` is a semicolon-joined list of
+user indices, and ``l`` is the index of a ``de`` state or a ``trace`` round.
 ``emit_csv`` writes one result to a file path; identical inputs always
 produce byte-identical files.
 """
@@ -37,12 +37,13 @@ def _fmt(value: float) -> str:
 
 def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[list[str], list[list[Any]]]:
     if isinstance(result, SweepResult):
-        n_label = ";".join(str(code.n) for code in result.codes)
-        k_label = ";".join(str(code.k) for code in result.codes)
+        config = result.config
+        n_label = ";".join(str(code.n) for code, _ in config.code_groups)
+        k_label = ";".join(str(code.k) for code, _ in config.code_groups)
         rows = [
             [
                 _fmt(pt.g),
-                result.ns,
+                config.ns,
                 n_label,
                 k_label,
                 pt.frames,
@@ -50,7 +51,7 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
                 _fmt(pt.plr_mean),
                 _fmt(pt.t_ci95),
                 _fmt(pt.plr_ci95),
-                result.seed,
+                config.seed,
             ]
             for pt in result.points
         ]

@@ -164,12 +164,9 @@ def de_iterate(config: SystemConfig) -> DETrace:
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
             raise InternalError(f"q increased from {q_prev!r} to {q!r}")
-        if q_prev <= EPSILON:
-            beta = 0.0
-        else:
-            # numerator floored at zero so float dust in q cannot leak into
-            # beta through the 1/q_prev amplification
-            beta = min(max(q_prev - q, 0.0) / q_prev, 1.0)
+        # q_prev is 1 or a q that did not stop the loop, so q_prev >= EPSILON;
+        # the numerator is floored so float dust in q cannot leak into beta
+        beta = max(q_prev - q, 0.0) / q_prev
         states.append(DEState(p=p, q=q, beta=beta))
         if q < EPSILON:
             break

@@ -3,14 +3,16 @@
 Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
 Each frame reports integer counts: its decoder rounds, undecoded users and
-lost payload. Workers fill disjoint index ranges of one count array; a point
-derives every frame's throughput and loss ratio from it at once and reduces
-them in index order, which makes aggregates bit-identical no matter how the
-work was split. A load sweep takes the ``SystemConfig`` it sweeps: each
-load's users mix that config's code groups, weighted by their user counts,
-on its frame size and seed. Its result is one ``SweepResult``: the frame
-size, user codes and seed it shares, stated once, and one ``TrialAggregate``
-per realized load. The decoder's per-round curves are in ``decoder``.
+lost payload. Each worker simulates one contiguous chunk of frame indices,
+and a point concatenates the chunks' count arrays in frame-index order,
+derives every frame's throughput and loss ratio from them at once and
+reduces them in index order, which makes aggregates bit-identical no matter
+how the work was split. A load sweep takes the ``SystemConfig`` it sweeps:
+each load's users mix that config's code groups, weighted by their user
+counts, on its frame size and seed. Its result is one ``SweepResult``: that
+config and one ``TrialAggregate`` per realized load; a load too small for
+one user is logged as a warning and left out. The decoder's per-round
+curves are in ``decoder``.
 """
 from __future__ import annotations
 
@@ -54,25 +56,15 @@ class TrialAggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Trial aggregates of a load sweep, in ascending realized load.
+    """The ``SystemConfig`` that was swept (or simulated) and its trial
+    aggregates, in ascending realized load.
 
-    ``ns``, ``codes`` (the user codes that label the n and k columns) and
-    ``seed`` are shared by every point; ``skipped`` lists each unrealizable
-    requested load with its reason.
+    Every point runs on ``config``'s frame size and seed, and its code groups
+    label the n and k columns, including a code a light load gives no users.
     """
 
-    ns: int
-    codes: tuple[UserCode, ...]
-    seed: int
+    config: SystemConfig
     points: tuple[TrialAggregate, ...]
-    skipped: tuple[tuple[float, str], ...] = ()
-
-    @classmethod
-    def of(cls, config: SystemConfig, points: Sequence[TrialAggregate], skipped=()) -> SweepResult:
-        """Result of ``points`` run on ``config``'s frame size and seed, labelled
-        by its code groups (a light load can apportion 0 users to a code)."""
-        codes = tuple(code for code, _ in config.code_groups)
-        return cls(config.ns, codes, config.seed, tuple(points), tuple(skipped))
 
     @property
     def argmax_g(self) -> float:
@@ -233,15 +225,12 @@ def users_for_load(config: SystemConfig, g: float) -> tuple[UserCode, ...] | Non
     return tuple(users)
 
 
-def _realizable(
-    config: SystemConfig, g_values: Sequence[float], skipped: list[tuple[float, str]]
-) -> Iterator[SystemConfig]:
-    """Configurations of the realizable loads, built one at a time; every
-    unrealizable load is appended to ``skipped`` with its reason."""
+def _realizable(config: SystemConfig, g_values: Sequence[float]) -> Iterator[SystemConfig]:
+    """Configurations of the realizable loads, built one at a time; each
+    unrealizable load is logged as a warning and skipped."""
     for g in g_values:
         users = users_for_load(config, g)
         if users is None:
-            skipped.append((g, "load too small for one user"))
             logger.warning("skipping G=%g: load too small for one user", g)
             continue
         yield replace(config, users=users)
@@ -253,16 +242,16 @@ def sweep_load(
     """Run one trial aggregate per requested load and locate the throughput peak.
 
     Each load's users mix ``config``'s codes as ``users_for_load`` does, on
-    its frame size and seed. Unrealizable loads are skipped with a warning
-    record; reported loads are the realized sum(k_i) / ns, not the requested
-    grid values. When more than one process is used, all points share one
-    pool, and the next point's chunks are queued before the current point's
-    results are read, so no worker idles between points; at most two points
-    are outstanding. If a point fails, the chunks still queued are cancelled.
+    its frame size and seed. Unrealizable loads are skipped with a warning on
+    the ``csasim.montecarlo`` logger; reported loads are the realized
+    sum(k_i) / ns, not the requested grid values. When more than one process
+    is used, all points share one pool, and the next point's chunks are
+    queued before the current point's results are read, so no worker idles
+    between points; at most two points are outstanding. If a point fails, the
+    chunks still queued are cancelled.
     """
     _check_frames(frames)
-    skipped: list[tuple[float, str]] = []
-    configs = _realizable(config, g_values, skipped)
+    configs = _realizable(config, g_values)
     first = next(configs, None)
     if first is None:
         raise ValueError("no realizable load values in sweep")
@@ -287,7 +276,7 @@ def sweep_load(
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
-    return SweepResult.of(config, sorted(points, key=lambda pt: pt.g), skipped)
+    return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))
 
 
 def aloha_baseline(g: float, variant: str) -> float:

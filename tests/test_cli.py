@@ -172,6 +172,25 @@ class TestCommandLine:
         loads = [float(line.split(",")[0]) for line in lines[1:]]
         assert loads == sorted(loads)
 
+    def test_sweep_reports_skipped_load_on_stderr(self, tmp_path):
+        # a subprocess, so that no test logging handler stands in for the
+        # last-resort handler that prints the warning
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys; from csasim.cli import main; sys.exit(main(sys.argv[1:]))"
+        config = tmp_path / "light.cfg"
+        config.write_text("ns=20\nusers=1x(4,2)\n")
+        out = tmp_path / "sweep.csv"
+        flags = ["--config", str(config), "--g", "0.01,0.5", "--frames", "10", "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "sweep", *flags],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == "skipping G=0.01: load too small for one user\n"
+        assert len(out.read_text().splitlines()) == 2
+
     def test_de(self, tmp_path, config_file):
         out = tmp_path / "de.csv"
         assert main(["de", "--config", str(config_file), "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import concurrent.futures
+import logging
 import math
 import os
 import random
@@ -32,6 +33,10 @@ from helpers import homogeneous, make_placement, random_instance, set_usable_cpu
 def two_to_three(ns, seed=0):
     """(4,2) and (2,1) users in a 2:3 ratio."""
     return SystemConfig(ns=ns, users=(UserCode(4, 2),) * 2 + (UserCode(2, 1),) * 3, seed=seed)
+
+
+# the record a sweep logs for a requested load of 0.01 that no user realizes
+SKIP_WARNING = ("csasim.montecarlo", logging.WARNING, "skipping G=0.01: load too small for one user")
 
 
 class LazyChunk:
@@ -255,15 +260,23 @@ class TestApportion:
 
 
 class TestSweepLoad:
-    def test_skips_unrealizable_and_reports_realized_g(self):
+    def test_skips_unrealizable_and_reports_realized_g(self, caplog):
         result = sweep_load(homogeneous(20, 4, 2, 1), [0.01, 0.5], frames=30)
         assert len(result.points) == 1
-        assert result.skipped and result.skipped[0][0] == 0.01
+        assert caplog.record_tuples == [SKIP_WARNING]
         point = result.points[0]
         assert point.g == pytest.approx(
             sum(u.k for u in users_for_load(homogeneous(20, 4, 2, 1), 0.5)) / 20
         )
-        assert result.codes == (UserCode(4, 2),)
+
+    def test_code_without_users_still_labels_its_column(self, tmp_path):
+        # g=0.05 gives two_to_three(40) one user, of code (2,1)
+        config = two_to_three(40)
+        assert UserCode(4, 2) not in users_for_load(config, 0.05)
+        out = tmp_path / "sweep.csv"
+        emit_csv(sweep_load(config, [0.05], frames=5), out)
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        assert (row[header.index("n")], row[header.index("k")]) == ("4;2", "2;1")
 
     def test_argmax_consistency(self):
         result = sweep_load(homogeneous(50, 2, 1, 1, seed=3), [0.2, 0.4, 0.6, 0.8], frames=200)
@@ -366,13 +379,14 @@ class TestSweepLoad:
         assert len(calls) == len(self.SCHEDULED_LOADS) - 1
         assert chunks == [(0, 30)] * len(calls)
 
-    def test_csv_bytes_identical_across_usable_cpus(self, monkeypatch, tmp_path):
+    def test_csv_bytes_identical_across_usable_cpus(self, monkeypatch, tmp_path, caplog):
         texts = []
         out = tmp_path / "sweep.csv"
         for cpus in (1, 2, 3):
             set_usable_cpus(monkeypatch, cpus)
+            caplog.clear()
             result = self.scheduled_sweep(workers=3)
-            assert len(result.points) == 4 and result.skipped[0][0] == 0.01
+            assert len(result.points) == 4 and caplog.record_tuples == [SKIP_WARNING]
             emit_csv(result, out)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
