@@ -22,7 +22,6 @@ from .model import (
     SystemConfig,
     UserCode,
     expected_initial_histogram,
-    frame_rng,
     place_frame,
 )
 from .montecarlo import (
@@ -30,7 +29,6 @@ from .montecarlo import (
     SweepResult,
     TrialAggregate,
     aloha_baseline,
-    baseline_curve,
     normalized_load,
     run_trials,
     sweep_load,
@@ -53,14 +51,12 @@ __all__ = [
     "TrialAggregate",
     "UserCode",
     "aloha_baseline",
-    "baseline_curve",
     "de_iterate",
     "decode_frame",
     "decode_probability",
     "emit_csv",
     "empirical_round_curves",
     "expected_initial_histogram",
-    "frame_rng",
     "initial_erasure_probability",
     "normalized_load",
     "parse_config",

@@ -32,13 +32,7 @@ from .csvio import emit_csv
 from .decoder import DecodeTrace, decode_frame
 from .density import DETrace, de_iterate
 from .model import InternalError, SystemConfig, place_frame
-from .montecarlo import (
-    BaselineCurve,
-    SweepResult,
-    baseline_curve,
-    run_trials,
-    sweep_load,
-)
+from .montecarlo import BaselineCurve, SweepResult, aloha_baseline, run_trials, sweep_load
 
 
 # largest START:STOP:STEP grid, checked before any of its points is built
@@ -99,7 +93,7 @@ def _trace(args: argparse.Namespace) -> DecodeTrace:
 
 
 def _baseline(args: argparse.Namespace) -> BaselineCurve:
-    return baseline_curve(args.g, args.variant)
+    return BaselineCurve(args.variant, tuple((g, aloha_baseline(g, args.variant)) for g in args.g))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,8 @@ The user codes and the population are checked by ``UserCode`` and
 from __future__ import annotations
 
 import re
+import sys
+from itertools import groupby
 
 from .model import SystemConfig, UserCode
 
@@ -46,6 +48,8 @@ def _parse_users(value: str, line: int) -> list[tuple[int, int, int]]:
         count, n, k = (int(x) for x in match.groups())
         if count < 1:
             raise ConfigError(f"user group count must be >= 1, got {count}", line)
+        if count > sys.maxsize:
+            raise ConfigError(f"user group count must be <= {sys.maxsize}, got {count}", line)
         groups.append((count, n, k))
     return groups
 
@@ -104,11 +108,7 @@ def parse_config(text: str) -> SystemConfig:
 
 def render_config(config: SystemConfig) -> str:
     """Inverse of parse_config; run-length encodes the user list in order."""
-    runs: list[tuple[UserCode, int]] = []
-    for user in config.users:
-        if runs and runs[-1][0] == user:
-            runs[-1] = (user, runs[-1][1] + 1)
-        else:
-            runs.append((user, 1))
-    users = " ".join(f"{count}x({code.n},{code.k})" for code, count in runs)
+    users = " ".join(
+        f"{len(list(run))}x({code.n},{code.k})" for code, run in groupby(config.users)
+    )
     return f"ns={config.ns}\nseed={config.seed}\nusers={users}\n"

@@ -124,7 +124,7 @@ def _round_statistics(
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:
     """Peel one frame to its fixpoint and record per-round statistics."""
-    if placement.ns != config.ns or placement.total_bursts != config.total_bursts:
+    if placement.ns != config.ns or placement.slot_of_burst.size != config.total_bursts:
         raise ValueError("placement does not match config")
     if np.unique(config.user_of_burst * config.ns + placement.slot_of_burst).size < config.total_bursts:
         raise ValueError("a user's bursts must lie in distinct slots")

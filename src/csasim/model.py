@@ -8,6 +8,7 @@ their slots (possibly after interference cancellation, see ``decoder``).
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,6 +36,8 @@ class UserCode:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"burst count n must be >= 1, got {self.n}")
+        if self.n > sys.maxsize:  # no frame can hold it, nor can de's factorial table
+            raise ValueError(f"burst count n must be <= {sys.maxsize}, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got (n={self.n}, k={self.k})")
 
@@ -120,9 +123,11 @@ class FramePlacement:
 
     ``slot_of_burst`` lists the slots of all bursts, user after user in config
     order: user ``i``'s n_i bursts follow the n_0 + ... + n_(i-1) bursts of the
-    users before it, in distinct slots sorted ascending. ``degree_of_slot[s]``
-    counts the bursts in slot ``s``, derived on construction. Nothing in this
-    package mutates a placement after construction.
+    users before it, in distinct slots sorted ascending, so a placement of a
+    config holds ``slot_of_burst.size == config.total_bursts`` bursts.
+    ``degree_of_slot[s]`` counts the bursts in slot ``s``, derived on
+    construction. Nothing in this package mutates a placement after
+    construction.
     """
 
     ns: int
@@ -138,22 +143,6 @@ class FramePlacement:
             raise ValueError(f"slots must lie in [0, {self.ns})")
         object.__setattr__(self, "degree_of_slot", degree)
 
-    @property
-    def total_bursts(self) -> int:
-        return int(self.slot_of_burst.size)
-
-
-def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Random stream for one frame, a pure function of (seed, frame_index).
-
-    Streams for distinct frame indices are independent, so frames can be
-    generated in any order or on any number of workers without changing the
-    result.
-    """
-    if frame_index < 0:
-        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
-    return np.random.default_rng([seed, frame_index])
-
 
 def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     """Draw every user's burst slots for one frame.
@@ -161,9 +150,15 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     Each user independently occupies a uniformly random n-subset of the ns
     slots. Users with equal n are sampled in one batched draw; rows with a
     repeated slot are redrawn, which leaves the subset distribution uniform.
+    The random stream is a pure function of (config.seed, frame_index), and
+    streams for distinct frame indices are independent, so frames can be
+    placed in any order or on any number of workers without changing the
+    result. A negative ``frame_index`` raises ``ValueError``.
     """
+    if frame_index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     ns = config.ns
-    rng = frame_rng(config.seed, frame_index)
+    rng = np.random.default_rng([config.seed, frame_index])
     slot_of_burst = np.empty(config.user_of_burst.size, dtype=np.int64)
     for at in config.placement_groups:
         n = at.shape[1]

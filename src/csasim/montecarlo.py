@@ -288,12 +288,3 @@ def aloha_baseline(g: float, variant: str) -> float:
     if variant == "pure":
         return g * math.exp(-2.0 * g)
     raise ValueError(f"unknown baseline variant {variant!r}")
-
-
-def baseline_curve(g_values: Sequence[float], variant: str) -> BaselineCurve:
-    """``aloha_baseline`` of one variant at each load of ``g_values``, in order."""
-    return BaselineCurve(
-        variant=variant,
-        points=tuple((float(g), aloha_baseline(g, variant)) for g in g_values),
-    )
-

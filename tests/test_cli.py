@@ -65,6 +65,8 @@ class TestParseConfig:
             ("ns=0\nusers=1x(1,1)", "ns must be >= 1", 1),
             ("ns=4\nusers=0x(3,1)", "user group count must be >= 1", 2),
             ("ns=4\nusers", "expected key=value", 2),
+            ("ns=4\nusers=10000000000000000000x(1,1)", "user group count must be <=", 2),
+            (f"ns={10**30}\nusers=1x({10**30},1)", "burst count n must be <=", 2),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, fragment, line):
@@ -266,6 +268,27 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "exceeds frame size" in err
+
+    @pytest.mark.parametrize(
+        "users,command",
+        [
+            ("10000000000000000000x(1,1)", ["de"]),
+            (f"1x({10**30},1)", ["simulate", "--frames", "1"]),
+            (f"1x({10**30},1)", ["trace", "--frame-index", "0"]),
+        ],
+        ids=["count-de", "n-simulate", "n-trace"],
+    )
+    def test_oversized_integer_in_config_exits_1_with_one_line(
+        self, tmp_path, capsys, users, command
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"ns={10**30}\nusers={users}\n")
+        out = tmp_path / "x.csv"
+        code = main([*command, "--config", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2: ")
+        assert not out.exists()
 
     def test_bad_grid_fails(self, config_file, tmp_path, capsys):
         code = main(

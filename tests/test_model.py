@@ -37,6 +37,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds frame size"):
             SystemConfig(ns=4, users=(UserCode(5, 1),))
 
+    def test_rejects_nonpositive_frame(self):
+        for ns in (0, -1):
+            with pytest.raises(ValueError, match="frame size ns must be >= 1"):
+                SystemConfig(ns=ns, users=(UserCode(1, 1),))
+
     def test_rejects_empty_users(self):
         with pytest.raises(ValueError, match="empty"):
             SystemConfig(ns=4, users=())
@@ -76,7 +81,7 @@ class TestBurstArrays:
             # a pickled config (as sent to pool workers) rebuilds them read-only
             assert not getattr(pickle.loads(pickle.dumps(config)), name).flags.writeable
         placement = place_frame(config, 0)
-        assert placement.total_bursts == config.total_bursts == 6
+        assert placement.slot_of_burst.size == config.total_bursts == 6
         # placement groups: ascending n, one read-only row per user
         groups = config.placement_groups
         assert groups is config.placement_groups

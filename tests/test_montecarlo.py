@@ -14,7 +14,6 @@ from csasim import (
     SystemConfig,
     UserCode,
     aloha_baseline,
-    baseline_curve,
     decode_frame,
     emit_csv,
     empirical_round_curves,
@@ -408,11 +407,6 @@ class TestBaseline:
             aloha_baseline(-0.5, "slotted")
         with pytest.raises(ValueError):
             aloha_baseline(0.5, "csma")
-
-    def test_curve(self):
-        curve = baseline_curve([0.5, 1.0], "slotted")
-        assert curve.variant == "slotted"
-        assert curve.points[1] == (1.0, pytest.approx(math.exp(-1)))
 
 
 class TestRoundCurves:
