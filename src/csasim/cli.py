@@ -131,20 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse and validate the flags; no file is read."""
-    args = build_parser().parse_args(argv)
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    if hasattr(args, "g"):
-        args.g = parse_g_spec(args.g)
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run a command line (default ``sys.argv[1:]``), checking flags before any file is read."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if hasattr(args, "g"):
+            args.g = parse_g_spec(args.g)
         emit_csv(args.run(args), args.out)
     except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)

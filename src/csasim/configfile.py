@@ -80,6 +80,8 @@ def parse_config(text: str) -> SystemConfig:
             ns = _parse_int(key, value, lineno)
             if ns < 1:
                 raise ConfigError(f"ns must be >= 1, got {ns}", lineno)
+            if ns > sys.maxsize:
+                raise ConfigError(f"ns must be <= {sys.maxsize}, got {ns}", lineno)
         elif key == "seed":
             seed = _parse_int(key, value, lineno)
             if not 0 <= seed < 2**64:

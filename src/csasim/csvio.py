@@ -81,33 +81,33 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
 
 def emit_csv(
     result: SweepResult | DETrace | DecodeTrace | BaselineCurve,
-    sink: str | os.PathLike[str],
+    path: str | os.PathLike[str],
 ) -> None:
-    """Write a result to the file at path ``sink`` in its fixed schema.
+    """Write a result to the file at ``path`` in its fixed schema.
 
     The file is written atomically: the rows go to a temporary file in the
     same directory, which then replaces the file, so a failed write leaves any
-    earlier file there intact; the ``OSError`` names ``sink``, not the
+    earlier file there intact; the ``OSError`` names ``path``, not the
     temporary file. A symlink's target is replaced, not the link. A FIFO, a
     device or anything else that is not a regular file is written to
     directly, as it cannot be replaced.
     """
     header, rows = _rows(result)
-    if os.path.exists(sink) and not os.path.isfile(sink):
-        with open(sink, "w", newline="") as handle:
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as handle:
             _write(handle, header, rows)
         return
-    path = os.path.realpath(sink)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as handle:
             _write(handle, header, rows)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        if isinstance(exc, OSError):  # name sink, not the temporary file
-            raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from exc
+        if isinstance(exc, OSError):  # name path, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

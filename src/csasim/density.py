@@ -143,10 +143,9 @@ def _collided_mass(config: SystemConfig, survival: float) -> float:
 
 
 def de_iterate(config: SystemConfig) -> DETrace:
-    """Run the per-round recursion for a configuration.
-
-    The trace always holds at least one state. Non-convergence is not an
-    error: the trace then ends with a q above ``EPSILON``.
+    """Run the per-round recursion: one state per round l = 0 .. n_users - 1
+    (so at least one), stopping early once q < ``EPSILON`` or P stalls. A
+    trace that does not converge ends with a q above ``EPSILON``; no error.
     """
     nu = config.n_users
     ns = config.ns
@@ -158,8 +157,7 @@ def de_iterate(config: SystemConfig) -> DETrace:
     p = initial_erasure_probability(config)
     q_prev = 1.0
     states: list[DEState] = []
-    l = 0
-    while True:
+    for l in range(nu):
         qbar = np.array([decode_probability(code, p) for code, _ in codes])
         q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
         if q > q_prev + _BAND:
@@ -179,8 +177,5 @@ def de_iterate(config: SystemConfig) -> DETrace:
             break  # no progress: the recursion reached its fixpoint
         p = _clamp_unit(p_raw, "p")
         q_prev = q
-        l += 1
-        if l >= nu:
-            break
 
     return DETrace(states=tuple(states))

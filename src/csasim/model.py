@@ -54,6 +54,8 @@ class SystemConfig:
         object.__setattr__(self, "users", tuple(self.users))
         if self.ns < 1:
             raise ValueError(f"frame size ns must be >= 1, got {self.ns}")
+        if self.ns > sys.maxsize:  # no frame of that many slots can be placed
+            raise ValueError(f"frame size ns must be <= {sys.maxsize}, got {self.ns}")
         if not self.users:
             raise ValueError("user list is empty")
         for u in self.users:

@@ -196,3 +196,20 @@ def random_instance(
 
 def all_subsets(ns: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(ns), n))
+
+
+def exact_frame_means(config: SystemConfig) -> tuple[Fraction, Fraction]:
+    """Exact E[PLR] and E[T] of one frame, by peeling every placement.
+
+    Each user's slot set is uniform over the n-subsets of the frame and
+    independent of the others, so every placement is equally likely. T is
+    the sum of k over decoded users, divided by ns.
+    """
+    users = list(config.users)
+    placements = undecoded = payload = 0
+    for slots in itertools.product(*(all_subsets(config.ns, u.n) for u in users)):
+        decoded = peel_oracle(config.ns, users, list(slots))
+        placements += 1
+        undecoded += len(users) - len(decoded)
+        payload += sum(users[i].k for i in decoded)
+    return Fraction(undecoded, placements * len(users)), Fraction(payload, placements * config.ns)

@@ -66,7 +66,8 @@ class TestParseConfig:
             ("ns=4\nusers=0x(3,1)", "user group count must be >= 1", 2),
             ("ns=4\nusers", "expected key=value", 2),
             ("ns=4\nusers=10000000000000000000x(1,1)", "user group count must be <=", 2),
-            (f"ns={10**30}\nusers=1x({10**30},1)", "burst count n must be <=", 2),
+            (f"ns={sys.maxsize}\nusers=1x({10**30},1)", "burst count n must be <=", 2),
+            (f"ns={10**30}\nusers=1x(3,1)", "ns must be <=", 1),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, fragment, line):
@@ -129,6 +130,10 @@ def config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
     return path
+
+
+SIMULATE_ONE = ["simulate", "--frames", "1"]
+TRACE_ONE = ["trace", "--frame-index", "0"]
 
 
 class TestCommandLine:
@@ -270,24 +275,27 @@ class TestCommandLine:
         assert "line 2" in err and "exceeds frame size" in err
 
     @pytest.mark.parametrize(
-        "users,command",
+        "text,command,diagnostic",
         [
-            ("10000000000000000000x(1,1)", ["de"]),
-            (f"1x({10**30},1)", ["simulate", "--frames", "1"]),
-            (f"1x({10**30},1)", ["trace", "--frame-index", "0"]),
+            (f"ns={sys.maxsize}\nusers=10000000000000000000x(1,1)", ["de"], "error: line 2: "),
+            (f"ns={sys.maxsize}\nusers=1x({10**30},1)", SIMULATE_ONE, "error: line 2: "),
+            (f"ns={sys.maxsize}\nusers=1x({10**30},1)", TRACE_ONE, "error: line 2: "),
+            (f"ns={10**30}\nusers=1x(3,1)", SIMULATE_ONE, "error: line 1: ns must be <="),
+            (f"ns={10**30}\nusers=1x(3,1)", TRACE_ONE, "error: line 1: ns must be <="),
+            (f"ns={10**30}\nusers=1x(3,1)", ["de"], "error: line 1: ns must be <="),
         ],
-        ids=["count-de", "n-simulate", "n-trace"],
+        ids=["count-de", "n-simulate", "n-trace", "ns-simulate", "ns-trace", "ns-de"],
     )
     def test_oversized_integer_in_config_exits_1_with_one_line(
-        self, tmp_path, capsys, users, command
+        self, tmp_path, capsys, text, command, diagnostic
     ):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"ns={10**30}\nusers={users}\n")
+        bad.write_text(text + "\n")
         out = tmp_path / "x.csv"
         code = main([*command, "--config", str(bad), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: line 2: ")
+        assert len(err) == 1 and err[0].startswith(diagnostic)
         assert not out.exists()
 
     def test_bad_grid_fails(self, config_file, tmp_path, capsys):
@@ -494,6 +502,23 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err
         assert fragment in err and "nope.cfg" not in err
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch, tmp_path, config_file):
+        # the path of the console script and of `python -m csasim.cli`
+        explicit, from_argv = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["de", "--config", str(config_file), "--out", str(explicit)]) == 0
+        argv = ["csasim", "de", "--config", str(config_file), "--out", str(from_argv)]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert from_argv.read_bytes() == explicit.read_bytes()
+
+    def test_no_argv_checks_flags_from_sys_argv(self, monkeypatch, tmp_path, config_file, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["csasim", "simulate", "--config", str(config_file), "--frames", "2"]
+        monkeypatch.setattr(sys, "argv", argv + ["--workers", "0", "--out", str(out)])
+        assert main() == 1
+        assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_symlinked_out_replaces_its_target(self, tmp_path, config_file):
         target = tmp_path / "real.csv"

@@ -1,4 +1,5 @@
 import pickle
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,10 @@ class TestValidation:
         for ns in (0, -1):
             with pytest.raises(ValueError, match="frame size ns must be >= 1"):
                 SystemConfig(ns=ns, users=(UserCode(1, 1),))
+
+    def test_rejects_frame_above_maxsize(self):
+        with pytest.raises(ValueError, match="frame size ns must be <="):
+            SystemConfig(ns=sys.maxsize + 1, users=(UserCode(1, 1),))
 
     def test_rejects_empty_users(self):
         with pytest.raises(ValueError, match="empty"):

@@ -26,7 +26,13 @@ from csasim import (
 from csasim import montecarlo
 from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
-from helpers import homogeneous, make_placement, random_instance, set_usable_cpus
+from helpers import (
+    exact_frame_means,
+    homogeneous,
+    make_placement,
+    random_instance,
+    set_usable_cpus,
+)
 
 
 def two_to_three(ns, seed=0):
@@ -237,6 +243,32 @@ class TestRunTrials:
             with pytest.raises(MemoryError, match=str(sys.maxsize)):
                 sweep_load(homogeneous(4, 1, 1, 1), [0.5], sys.maxsize, workers=2)
         assert recording_pool.built == []
+
+
+class TestUnbiasedAgainstEnumeration:
+    """run_trials' means sit within a few standard errors of the exact means
+    over every placement; frames, seed and workers are fixed up front."""
+
+    FRAMES = 40_000
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            homogeneous(6, 2, 1, 3, seed=1),  # 15**3 = 3,375 placements
+            # 10 * 10 * 5 = 500 placements
+            SystemConfig(ns=5, users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)), seed=1),
+        ],
+        ids=["ns6-3x(2,1)", "ns5-mixed"],
+    )
+    def test_plr_and_throughput_means(self, config):
+        exact_plr, exact_t = exact_frame_means(config)
+        agg = run_trials(config, self.FRAMES, len(os.sched_getaffinity(0)))
+        for mean, ci95, exact in (
+            (agg.plr_mean, agg.plr_ci95, exact_plr),
+            (agg.t_mean, agg.t_ci95, exact_t),
+        ):
+            z = (mean - float(exact)) / (ci95 / 1.96)
+            assert abs(z) <= 4, (mean, float(exact), z)
 
 
 class TestApportion:
