@@ -25,13 +25,12 @@ import math
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
-from typing import Callable
 
 from .configfile import parse_config
 from .csvio import emit_csv
 from .decoder import DecodeTrace, decode_frame
 from .density import DETrace, de_iterate
-from .model import InternalError, SystemConfig, place_frame
+from .model import InternalError, place_frame
 from .montecarlo import BaselineCurve, SweepResult, aloha_baseline, run_trials, sweep_load
 
 
@@ -67,33 +66,22 @@ def parse_g_spec(text: str) -> tuple[float, ...]:
     return tuple(numbers)
 
 
-def _load_config(args: argparse.Namespace) -> SystemConfig:
+def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | BaselineCurve:
+    """Compute the result of a parsed command line."""
+    if args.command == "baseline":
+        curve = tuple((g, aloha_baseline(g, args.variant)) for g in args.g)
+        return BaselineCurve(args.variant, curve)
     with open(args.config) as handle:
         config = parse_config(handle.read())
-    seed = getattr(args, "seed", None)
-    return config if seed is None else replace(config, seed=seed)
-
-
-def _simulate(args: argparse.Namespace) -> SweepResult:
-    config = _load_config(args)
-    return SweepResult(config, (run_trials(config, args.frames, args.workers),))
-
-
-def _sweep(args: argparse.Namespace) -> SweepResult:
-    return sweep_load(_load_config(args), args.g, args.frames, args.workers)
-
-
-def _de(args: argparse.Namespace) -> DETrace:
-    return de_iterate(_load_config(args))
-
-
-def _trace(args: argparse.Namespace) -> DecodeTrace:
-    config = _load_config(args)
+    if getattr(args, "seed", None) is not None:
+        config = replace(config, seed=args.seed)
+    if args.command == "simulate":
+        return SweepResult(config, (run_trials(config, args.frames, args.workers),))
+    if args.command == "sweep":
+        return sweep_load(config, args.g, args.frames, args.workers)
+    if args.command == "de":
+        return de_iterate(config)
     return decode_frame(config, place_frame(config, args.frame_index))
-
-
-def _baseline(args: argparse.Namespace) -> BaselineCurve:
-    return BaselineCurve(args.variant, tuple((g, aloha_baseline(g, args.variant)) for g in args.g))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,11 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(
-        name: str, run: Callable, summary: str, config: bool = True
-    ) -> argparse.ArgumentParser:
+    def add_command(name: str, summary: str, config: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
         if config:
             p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -118,28 +103,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=1)
 
-    add_monte_carlo(add_command("simulate", _simulate, "average metrics over many frames"))
-    p = add_command("sweep", _sweep, "throughput/PLR versus normalized load")
+    add_monte_carlo(add_command("simulate", "average metrics over many frames"))
+    p = add_command("sweep", "throughput/PLR versus normalized load")
     p.add_argument("--g", required=True, help="load grid, START:STOP:STEP or comma list")
     add_monte_carlo(p)
-    add_command("de", _de, "analytic per-round recursion")
-    p = add_command("trace", _trace, "decode one frame and dump its rounds")
+    add_command("de", "analytic per-round recursion")
+    p = add_command("trace", "decode one frame and dump its rounds")
     p.add_argument("--frame-index", type=int, required=True)
-    p = add_command("baseline", _baseline, "analytic Aloha throughput curve", config=False)
+    p = add_command("baseline", "analytic Aloha throughput curve", config=False)
     p.add_argument("--variant", choices=["slotted", "pure"], required=True)
     p.add_argument("--g", required=True, help="load grid, START:STOP:STEP or comma list")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run a command line (default ``sys.argv[1:]``), checking flags before any file is read."""
+    """Run a command line (default ``sys.argv[1:]``); ``--workers`` and
+    ``--g`` are checked before the config file is read."""
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         if hasattr(args, "g"):
             args.g = parse_g_spec(args.g)
-        emit_csv(args.run(args), args.out)
+        emit_csv(_run(args), args.out)
     except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

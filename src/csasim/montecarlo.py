@@ -67,13 +67,9 @@ class SweepResult:
     points: tuple[TrialAggregate, ...]
 
     @property
-    def argmax_g(self) -> float:
-        """Load of the first point with the largest mean throughput."""
-        return max(self.points, key=lambda pt: pt.t_mean).g
-
-    @property
-    def t_max(self) -> float:
-        return max(pt.t_mean for pt in self.points)
+    def peak(self) -> TrialAggregate:
+        """The first point with the largest mean throughput."""
+        return max(self.points, key=lambda pt: pt.t_mean)
 
 
 @dataclass(frozen=True)

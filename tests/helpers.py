@@ -213,3 +213,23 @@ def exact_frame_means(config: SystemConfig) -> tuple[Fraction, Fraction]:
         undecoded += len(users) - len(decoded)
         payload += sum(users[i].k for i in decoded)
     return Fraction(undecoded, placements * len(users)), Fraction(payload, placements * config.ns)
+
+
+def exact_round_moments(config: SystemConfig, num_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-round mean and standard deviation of the decoder's (p, q),
+    by running synchronous peeling on every placement.
+
+    Both are (2, num_rounds) arrays, p in row 0 and q in row 1: p is the
+    collided share of the remaining bursts before a round and q the undecoded
+    share of the users after it. A placement whose peeling stops before a
+    round contributes its fixpoint values there.
+    """
+    users = list(config.users)
+    values = []
+    for slots in itertools.product(*(all_subsets(config.ns, u.n) for u in users)):
+        rounds, undecoded, final_p = synchronous_rounds_oracle(config.ns, users, list(slots))
+        fixpoint = (final_p, len(undecoded) / len(users))
+        curve = [(p, q) for _, p, q in rounds] + [fixpoint] * num_rounds
+        values.append(curve[:num_rounds])
+    per_round = np.array(values).transpose(2, 1, 0)  # (p or q, round, placement)
+    return per_round.mean(axis=2), per_round.std(axis=2)

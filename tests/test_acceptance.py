@@ -65,30 +65,27 @@ def sweep_5_2():
     return sweep(5, 2)
 
 
-def peak_ci(result):
-    best = max(result.points, key=lambda pt: pt.t_mean)
-    return best.t_ci95
-
-
 def test_ac1_throughput_peak(sweep_3_1):
-    t_ok = abs(sweep_3_1.t_max - 0.7433) <= 0.02
-    g_ok = abs(sweep_3_1.argmax_g - 0.755) <= 0.05
+    peak = sweep_3_1.peak
+    t_ok = abs(peak.t_mean - 0.7433) <= 0.02
+    g_ok = abs(peak.g - 0.755) <= 0.05
     report(
         "AC-1",
         t_ok and g_ok,
-        f"(3,1) Ns=400 peak T={sweep_3_1.t_max:.4f} (target 0.7433+-0.02) "
-        f"at G={sweep_3_1.argmax_g:.4f} (target 0.755+-0.05)",
+        f"(3,1) Ns=400 peak T={peak.t_mean:.4f} (target 0.7433+-0.02) "
+        f"at G={peak.g:.4f} (target 0.755+-0.05)",
     )
 
 
 def test_ac2_code_ordering(sweep_3_1, sweep_4_2, sweep_5_2):
-    margin_4_2 = sweep_3_1.t_max - sweep_4_2.t_max - (peak_ci(sweep_3_1) + peak_ci(sweep_4_2))
-    margin_5_2 = sweep_3_1.t_max - sweep_5_2.t_max - (peak_ci(sweep_3_1) + peak_ci(sweep_5_2))
+    peak_3_1, peak_4_2, peak_5_2 = sweep_3_1.peak, sweep_4_2.peak, sweep_5_2.peak
+    margin_4_2 = peak_3_1.t_mean - peak_4_2.t_mean - (peak_3_1.t_ci95 + peak_4_2.t_ci95)
+    margin_5_2 = peak_3_1.t_mean - peak_5_2.t_mean - (peak_3_1.t_ci95 + peak_5_2.t_ci95)
     report(
         "AC-2",
         margin_4_2 > 0 and margin_5_2 > 0,
-        f"peaks at Ns=400: (3,1)={sweep_3_1.t_max:.4f} > "
-        f"(5,2)={sweep_5_2.t_max:.4f} > (4,2)={sweep_4_2.t_max:.4f}, "
+        f"peaks at Ns=400: (3,1)={peak_3_1.t_mean:.4f} > "
+        f"(5,2)={peak_5_2.t_mean:.4f} > (4,2)={peak_4_2.t_mean:.4f}, "
         f"CI-adjusted margins {margin_4_2:.4f} / {margin_5_2:.4f}",
     )
 

@@ -316,6 +316,29 @@ class TestCommandLine:
         assert "load grid" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command,out_given",
+        [(["de"], False), (["bogus"], True), (["simulate", "--frames", "x"], True)],
+        ids=["missing-out", "unknown-command", "non-integer-frames"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, config_file, command, out_given):
+        # a subprocess, as argparse ends a usage error with sys.exit(2)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = tmp_path / "x.csv"
+        flags = ["--config", str(config_file)] + (["--out", str(out)] if out_given else [])
+        result = subprocess.run(
+            [sys.executable, "-m", "csasim.cli", *command, *flags],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        err = result.stderr.splitlines()
+        assert err[0].startswith("usage: csasim")
+        assert sum(": error: " in line for line in err) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_rejects_workers_below_one(self, tmp_path, config_file, capsys, workers):
         out = tmp_path / "x.csv"
@@ -574,6 +597,31 @@ class TestCommandLine:
         assert code == 1
         assert out.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["de.csv", "exp.cfg"]
+
+    def test_failed_write_reraises_other_errors_unchanged(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        out.write_text("earlier\n")
+        write = csvio._write
+        error = RuntimeError("interrupted")
+
+        def fail_partway(handle, header, rows):
+            write(handle, header, rows[:1])
+            handle.flush()
+            raise error
+
+        monkeypatch.setattr(csvio, "_write", fail_partway)
+        result = montecarlo.BaselineCurve("slotted", ((0.5, 0.3), (1.0, 0.4)))
+        with pytest.raises(RuntimeError) as raised:
+            csvio.emit_csv(result, out)
+        assert raised.value is error
+        assert out.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["x.csv"]
+
+    def test_unknown_result_type_is_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            csvio.emit_csv(object(), out)
+        assert not out.exists()
 
 
 # exact `de` output (config text, CSV text) for the AC-4 config and the

@@ -28,6 +28,7 @@ from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
 from helpers import (
     exact_frame_means,
+    exact_round_moments,
     homogeneous,
     make_placement,
     random_instance,
@@ -245,21 +246,22 @@ class TestRunTrials:
         assert recording_pool.built == []
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        homogeneous(6, 2, 1, 3, seed=1),  # 15**3 = 3,375 placements
+        # 10 * 10 * 5 = 500 placements
+        SystemConfig(ns=5, users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)), seed=1),
+    ],
+    ids=["ns6-3x(2,1)", "ns5-mixed"],
+)
 class TestUnbiasedAgainstEnumeration:
-    """run_trials' means sit within a few standard errors of the exact means
+    """Monte Carlo means sit within a few standard errors of the exact means
     over every placement; frames, seed and workers are fixed up front."""
 
     FRAMES = 40_000
+    ROUND_CURVE_FRAMES = 20_000
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            homogeneous(6, 2, 1, 3, seed=1),  # 15**3 = 3,375 placements
-            # 10 * 10 * 5 = 500 placements
-            SystemConfig(ns=5, users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)), seed=1),
-        ],
-        ids=["ns6-3x(2,1)", "ns5-mixed"],
-    )
     def test_plr_and_throughput_means(self, config):
         exact_plr, exact_t = exact_frame_means(config)
         agg = run_trials(config, self.FRAMES, len(os.sched_getaffinity(0)))
@@ -269,6 +271,12 @@ class TestUnbiasedAgainstEnumeration:
         ):
             z = (mean - float(exact)) / (ci95 / 1.96)
             assert abs(z) <= 4, (mean, float(exact), z)
+
+    def test_round_curves(self, config):
+        exact, sd = exact_round_moments(config, num_rounds=3)
+        curves = empirical_round_curves(config, self.ROUND_CURVE_FRAMES, num_rounds=3)
+        z = (np.array(curves) - exact) / (sd / math.sqrt(self.ROUND_CURVE_FRAMES))
+        assert np.all(np.abs(z) <= 4), (curves, exact, z)
 
 
 class TestApportion:
@@ -312,8 +320,7 @@ class TestSweepLoad:
     def test_argmax_consistency(self):
         result = sweep_load(homogeneous(50, 2, 1, 1, seed=3), [0.2, 0.4, 0.6, 0.8], frames=200)
         best = max(result.points, key=lambda pt: pt.t_mean)
-        assert result.t_max == best.t_mean
-        assert result.argmax_g == best.g
+        assert result.peak is best
         assert [pt.g for pt in result.points] == sorted(pt.g for pt in result.points)
 
     def test_low_load_decodes_everyone(self):
