@@ -8,6 +8,7 @@ their slots (possibly after interference cancellation, see ``decoder``).
 """
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -180,20 +181,47 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst)
 
 
+def _binomial_pmf(count: int, p: float) -> np.ndarray:
+    """Binomial(count, p) law as a float64 vector of length ``count + 1``.
+
+    Log-probabilities are cumulative sums of log(pmf[d] / pmf[d - 1]) =
+    log((count - d + 1) / d) + log(p / (1 - p)), taken outward from the mode
+    so that the entries holding the mass carry little rounding, then
+    exponentiated and normalised: O(count) work. p = 1 is a point mass at
+    ``count``.
+    """
+    if p == 1.0:
+        pmf = np.zeros(count + 1)
+        pmf[count] = 1.0
+        return pmf
+    d = np.arange(1, count + 1)
+    step = np.log((count - d + 1) / d) + (math.log(p) - math.log1p(-p))
+    mode = min(int((count + 1) * p), count)
+    below = -np.cumsum(step[:mode][::-1])[::-1]
+    pmf = np.exp(np.concatenate((below, [0.0], np.cumsum(step[mode:]))))
+    return pmf / pmf.sum()
+
+
 def expected_initial_histogram(config: SystemConfig) -> np.ndarray:
     """Exact expected slot-degree law under the placement model.
 
     Entry d of the returned float64 vector (length ``n_users + 1``) is the
     probability that a slot holds d bursts. A slot's degree is a sum of
     independent Bernoulli(n_i / ns) indicators, one per user, i.e.
-    Poisson-binomial; the law is built by dynamic programming over users.
-    The measured law of a placement is
+    Poisson-binomial. Users of one burst count n share one probability, so
+    the c users with that n contribute a Binomial(c, n / ns) law, and these
+    laws are convolved. Each law's underflowed upper tail is dropped before
+    the convolution, so a population whose mean slot degree is a few costs
+    time linear in users. The measured law of a placement is
     ``np.bincount(placement.degree_of_slot) / placement.ns``.
     """
-    dist = np.zeros(config.n_users + 1)
-    dist[0] = 1.0
-    for u in config.users:
-        pr = u.n / config.ns
-        dist[1:] = dist[1:] * (1.0 - pr) + dist[:-1] * pr
-        dist[0] *= 1.0 - pr
-    return dist
+    users_with_n: Counter[int] = Counter()
+    for code, count in config.code_groups:
+        users_with_n[code.n] += count
+    dist = np.ones(1)
+    for n, count in users_with_n.items():
+        pmf = _binomial_pmf(count, n / config.ns)
+        dist = np.convolve(dist, np.trim_zeros(pmf, "b"))
+    law = np.zeros(config.n_users + 1)
+    law[: dist.size] = dist
+    return law

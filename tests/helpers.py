@@ -149,22 +149,30 @@ def exact_binomial_tail(n: int, k: int, p: float) -> float:
     return float(Fraction(tail, scale**n))
 
 
-def collided_mass_by_thinning(
-    ns: int, users: list[UserCode], survival: float
-) -> float:
+def exact_degree_law(config: SystemConfig) -> list[Fraction]:
+    """Exact expected slot-degree law, in rationals.
+
+    Multiplies out the generating polynomial one user's Bernoulli(n / ns)
+    factor at a time, so no grouping of users is assumed.
+    """
+    law = [Fraction(1)]
+    for user in config.users:
+        pr = Fraction(user.n, config.ns)
+        grown = [Fraction(0)] * (len(law) + 1)
+        for d, mass in enumerate(law):
+            grown[d] += mass * (1 - pr)
+            grown[d + 1] += mass * pr
+        law = grown
+    return law
+
+
+def collided_mass_by_thinning(config: SystemConfig, survival: float) -> float:
     """Collided bursts per slot after each burst survives w.p. ``survival``.
 
-    Builds the slot-degree law by a Poisson-binomial DP over users, thins it
-    with explicit binomial sums, and sums d * P(D = d) over d >= 2.
+    Thins the exact slot-degree law with explicit binomial sums and sums
+    d * P(D = d) over d >= 2.
     """
-    dist = [1.0]
-    for user in users:
-        pr = user.n / ns
-        grown = [0.0] * (len(dist) + 1)
-        for d, mass in enumerate(dist):
-            grown[d] += mass * (1.0 - pr)
-            grown[d + 1] += mass * pr
-        dist = grown
+    dist = [float(mass) for mass in exact_degree_law(config)]
     thinned = [
         sum(
             dist[d] * math.comb(d, e) * survival**e * (1.0 - survival) ** (d - e)

@@ -12,6 +12,7 @@ from csasim import (
     UserCode,
     de_iterate,
     decode_probability,
+    expected_initial_histogram,
     initial_erasure_probability,
     parse_config,
     run_trials,
@@ -147,7 +148,7 @@ class TestCollidedMass:
         ns, groups = frame
         users = [UserCode(n, 1) for n, count in groups for _ in range(count)]
         config = SystemConfig(ns=ns, users=tuple(users))
-        want = collided_mass_by_thinning(ns, users, survival)
+        want = collided_mass_by_thinning(config, survival)
         assert _collided_mass(config, survival) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_no_survivors_no_collisions(self):
@@ -241,6 +242,22 @@ class TestDeIterate:
                 for code, count in config.code_groups
             )
             assert state.q == pytest.approx(1.0 - decoded / len(users), rel=0, abs=1e-12)
+
+    def test_large_population_law_and_recursion(self):
+        # 100,000 users: one binomial law, where a DP over users takes over a minute
+        config = SystemConfig(ns=133_334, users=(UserCode(3, 1),) * 100_000)
+        hist = expected_initial_histogram(config)
+        assert hist.shape == (100_001,)
+        assert hist.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+        mean = float(np.arange(hist.size) @ hist)
+        assert mean == pytest.approx(config.total_bursts / config.ns, rel=0, abs=1e-9)
+        trace = de_iterate(config)
+        for state in trace.states:
+            assert 0.0 <= state.p <= 1.0
+            assert 0.0 <= state.q <= 1.0
+            assert 0.0 <= state.beta <= 1.0
+        qs = [s.q for s in trace.states]
+        assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
 
     def test_log_factorial_table_built_once_per_code_length(self, monkeypatch):
         built = []

@@ -4,12 +4,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from csasim import SystemConfig, UserCode, expected_initial_histogram, place_frame
-from helpers import slots_by_user
+from csasim import (
+    SystemConfig,
+    UserCode,
+    expected_initial_histogram,
+    initial_erasure_probability,
+    place_frame,
+)
+from helpers import exact_degree_law, slots_by_user
+
+# absolute bound on each law entry and on P_0 against the exact rationals;
+# float64 laws of up to ~60 users sit a few ulps from them
+LAW_TOLERANCE = 1e-13
+
+
+@st.composite
+def code_mixtures(draw):
+    """Up to 4 code groups of up to 15 users each on a frame of up to 40 slots."""
+    ns = draw(st.integers(1, 40))
+    users = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, ns))
+        users += [UserCode(n, draw(st.integers(1, n)))] * draw(st.integers(1, 15))
+    return SystemConfig(ns=ns, users=tuple(users))
 
 
 @st.composite
@@ -222,6 +243,21 @@ class TestExpectedInitialHistogram:
         hist = expected_initial_histogram(config)
         assert hist.dtype == np.float64 and hist.shape == (config.n_users + 1,)
         assert hist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(code_mixtures())
+    @example(SystemConfig(ns=1, users=(UserCode(1, 1),)))
+    @example(SystemConfig(ns=1, users=(UserCode(1, 1),) * 7))
+    @example(SystemConfig(ns=9, users=(UserCode(4, 3),)))
+    @example(SystemConfig(ns=5, users=(UserCode(5, 2),) * 3 + (UserCode(2, 1),) * 20))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_rational_law(self, config):
+        hist = expected_initial_histogram(config)
+        exact = exact_degree_law(config)
+        assert hist.shape == (len(exact),)
+        assert max(abs(float(h - e)) for h, e in zip(hist.tolist(), exact)) <= LAW_TOLERANCE
+        collided = sum(d * exact[d] for d in range(2, len(exact)))
+        p0 = collided * config.ns / config.total_bursts
+        assert abs(float(initial_erasure_probability(config) - p0)) <= LAW_TOLERANCE
 
     def test_matches_empirical_average(self):
         config = SystemConfig(
