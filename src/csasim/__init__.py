@@ -5,64 +5,56 @@ recovers them by iterative interference cancellation. The package provides
 the frame/placement model, the peeling decoder, an analytic per-round
 recursion predicting decoder behaviour, a Monte Carlo harness with load
 sweeps and confidence intervals, and a CSV-emitting command line.
+
+Exports are loaded lazily (PEP 562): ``import csasim`` loads no submodule,
+and reading an export loads only the module that defines it.
 """
-from .configfile import ConfigError, parse_config, render_config
-from .csvio import emit_csv
-from .decoder import DecodeTrace, RoundRecord, decode_frame, empirical_round_curves
-from .density import (
-    DEState,
-    DETrace,
-    de_iterate,
-    decode_probability,
-    initial_erasure_probability,
-)
-from .model import (
-    FramePlacement,
-    InternalError,
-    SystemConfig,
-    UserCode,
-    expected_initial_histogram,
-    place_frame,
-)
-from .montecarlo import (
-    BaselineCurve,
-    SweepResult,
-    TrialAggregate,
-    aloha_baseline,
-    normalized_load,
-    run_trials,
-    sweep_load,
-    users_for_load,
-)
+import importlib
+
+# defining module -> the names it exports
+_EXPORTS = {
+    "configfile": ("ConfigError", "parse_config", "render_config"),
+    "csvio": ("emit_csv",),
+    "decoder": ("DecodeTrace", "RoundRecord", "decode_frame", "empirical_round_curves"),
+    "density": (
+        "DEState",
+        "DETrace",
+        "de_iterate",
+        "decode_probability",
+        "initial_erasure_probability",
+    ),
+    "model": (
+        "FramePlacement",
+        "InternalError",
+        "SystemConfig",
+        "UserCode",
+        "expected_initial_histogram",
+        "place_frame",
+    ),
+    "montecarlo": (
+        "BaselineCurve",
+        "SweepResult",
+        "TrialAggregate",
+        "aloha_baseline",
+        "normalized_load",
+        "run_trials",
+        "sweep_load",
+        "users_for_load",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineCurve",
-    "ConfigError",
-    "DEState",
-    "DETrace",
-    "DecodeTrace",
-    "FramePlacement",
-    "InternalError",
-    "RoundRecord",
-    "SweepResult",
-    "SystemConfig",
-    "TrialAggregate",
-    "UserCode",
-    "aloha_baseline",
-    "de_iterate",
-    "decode_frame",
-    "decode_probability",
-    "emit_csv",
-    "empirical_round_curves",
-    "expected_initial_histogram",
-    "initial_erasure_probability",
-    "normalized_load",
-    "parse_config",
-    "place_frame",
-    "render_config",
-    "run_trials",
-    "sweep_load",
-    "users_for_load",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,15 +23,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from .configfile import parse_config
 from .csvio import emit_csv
-from .decoder import DecodeTrace, decode_frame
-from .density import DETrace, de_iterate
-from .model import InternalError, place_frame
-from .montecarlo import BaselineCurve, SweepResult, aloha_baseline, run_trials, sweep_load
+from .model import InternalError
+
+if TYPE_CHECKING:
+    from .decoder import DecodeTrace
+    from .density import DETrace
+    from .montecarlo import BaselineCurve, SweepResult
 
 
 # largest START:STOP:STEP grid, checked before any of its points is built
@@ -67,8 +69,14 @@ def parse_g_spec(text: str) -> tuple[float, ...]:
 
 
 def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | BaselineCurve:
-    """Compute the result of a parsed command line."""
+    """Compute the result of a parsed command line.
+
+    Each command imports its own engine, so a command loads no module that
+    only another command runs.
+    """
     if args.command == "baseline":
+        from .montecarlo import BaselineCurve, aloha_baseline
+
         curve = tuple((g, aloha_baseline(g, args.variant)) for g in args.g)
         return BaselineCurve(args.variant, curve)
     with open(args.config) as handle:
@@ -76,12 +84,29 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     if args.command == "simulate":
+        from .montecarlo import SweepResult, run_trials
+
         return SweepResult(config, (run_trials(config, args.frames, args.workers),))
     if args.command == "sweep":
+        from .montecarlo import sweep_load
+
         return sweep_load(config, args.g, args.frames, args.workers)
     if args.command == "de":
+        from .density import de_iterate
+
         return de_iterate(config)
+    from .decoder import decode_frame
+    from .model import place_frame
+
     return decode_frame(config, place_frame(config, args.frame_index))
+
+
+def _pool_failures() -> tuple[type[BaseException], ...]:
+    """The exception type of a pool whose worker died, if a pool could have
+    run: ``concurrent.futures`` is loaded only where a pool starts, and
+    without it no ``BrokenExecutor`` can have been raised."""
+    futures = sys.modules.get("concurrent.futures")
+    return () if futures is None else (futures.BrokenExecutor,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "g"):
             args.g = parse_g_spec(args.g)
         emit_csv(_run(args), args.out)
-    except (ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError, *_pool_failures()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

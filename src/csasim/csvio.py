@@ -19,11 +19,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from typing import IO, Any
+import sys
+from typing import IO, TYPE_CHECKING, Any
 
-from .decoder import DecodeTrace
-from .density import DETrace
-from .montecarlo import BaselineCurve, SweepResult
+if TYPE_CHECKING:
+    from .decoder import DecodeTrace
+    from .density import DETrace
+    from .montecarlo import BaselineCurve, SweepResult
 
 SWEEP_HEADER = ["g", "ns", "n", "k", "frames", "throughput", "plr", "t_ci95", "plr_ci95", "seed"]
 DE_HEADER = ["l", "p", "q", "beta"]
@@ -35,8 +37,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _is(result: object, module: str, name: str) -> bool:
+    """Whether ``result`` is an instance of class ``name`` of package module
+    ``module``, without importing that module: no instance of its classes
+    exists before it is loaded."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(result, getattr(loaded, name))
+
+
 def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[list[str], list[list[Any]]]:
-    if isinstance(result, SweepResult):
+    if _is(result, "montecarlo", "SweepResult"):
         config = result.config
         n_label = ";".join(str(code.n) for code, _ in config.code_groups)
         k_label = ";".join(str(code.k) for code, _ in config.code_groups)
@@ -56,13 +66,13 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
             for pt in result.points
         ]
         return SWEEP_HEADER, rows
-    if isinstance(result, DETrace):
+    if _is(result, "density", "DETrace"):
         rows = [
             [l, _fmt(state.p), _fmt(state.q), _fmt(state.beta)]
             for l, state in enumerate(result.states)
         ]
         return DE_HEADER, rows
-    if isinstance(result, DecodeTrace):
+    if _is(result, "decoder", "DecodeTrace"):
         rows = [
             [
                 l,
@@ -73,7 +83,7 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
             for l, record in enumerate(result.rounds)
         ]
         return TRACE_HEADER, rows
-    if isinstance(result, BaselineCurve):
+    if _is(result, "montecarlo", "BaselineCurve"):
         rows = [[_fmt(g), _fmt(t), result.variant] for g, t in result.points]
         return BASELINE_HEADER, rows
     raise TypeError(f"cannot serialize {type(result).__name__}")

@@ -16,22 +16,21 @@ curves are in ``decoder``.
 """
 from __future__ import annotations
 
-# the package loads ProcessPoolExecutor, and with it multiprocessing, on its
-# first lookup, which is when a pool starts
-import concurrent.futures
 import logging
 import math
 import os
 import sys
-from concurrent.futures import Executor, Future
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .decoder import _peel
 from .model import SystemConfig, UserCode, place_frame
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 logger = logging.getLogger(__name__)
 
@@ -127,6 +126,18 @@ def _check_frames(frames: int) -> None:
         raise MemoryError(f"cannot hold the results of {frames} frames") from None
 
 
+def _start_pool(processes: int) -> Executor:
+    """A process pool of ``processes`` workers.
+
+    ``concurrent.futures`` is imported here, so a run that starts no pool
+    does not load it; its first ``ProcessPoolExecutor`` lookup loads
+    multiprocessing.
+    """
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(processes)
+
+
 def _queue_chunks(
     pool: Executor, config: SystemConfig, frames: int, processes: int
 ) -> list[Future]:
@@ -160,7 +171,7 @@ def run_trials(
     if chunks is not None:
         parts = [chunk.result() for chunk in chunks]
     elif (processes := _process_count(workers, frames)) > 1:
-        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
+        with _start_pool(processes) as pool:
             parts = [chunk.result() for chunk in _queue_chunks(pool, config, frames, processes)]
     else:
         parts = [_simulate_range(config, 0, frames)]
@@ -253,9 +264,7 @@ def sweep_load(
         raise ValueError("no realizable load values in sweep")
     points: list[TrialAggregate] = []
     processes = _process_count(workers, frames)
-    with (
-        concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else nullcontext()
-    ) as pool:
+    with (_start_pool(processes) if processes > 1 else nullcontext()) as pool:
 
         def queue(point: SystemConfig) -> Callable[[], TrialAggregate]:
             """Queue a point's chunks now; the returned call reads its aggregate."""

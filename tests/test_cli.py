@@ -1,11 +1,13 @@
 import ast
 import hashlib
 import importlib.util
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -21,7 +23,7 @@ from csasim import (
     parse_config,
     render_config,
 )
-from csasim import cli, csvio, montecarlo
+from csasim import cli, csvio, density, montecarlo
 from csasim.cli import main, parse_g_spec
 from csasim.csvio import BASELINE_HEADER, DE_HEADER, SWEEP_HEADER, TRACE_HEADER
 
@@ -366,7 +368,7 @@ class TestCommandLine:
         def broken(config):
             raise InternalError("q increased from 0.1 to 0.2")
 
-        monkeypatch.setattr(cli, "de_iterate", broken)
+        monkeypatch.setattr(density, "de_iterate", broken)
         code = main(
             ["de", "--config", str(config_file), "--out", str(tmp_path / "x.csv")]
         )
@@ -382,7 +384,7 @@ class TestCommandLine:
         def too_large(config, frames, workers=1, *, chunks=None):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "run_trials", too_large)
+        monkeypatch.setattr(montecarlo, "run_trials", too_large)
         out = tmp_path / "x.csv"
         code = main(
             [
@@ -410,9 +412,8 @@ class TestCommandLine:
         def worker_died(config, frames, workers=1, *, chunks=None):
             raise BrokenProcessPool(message)
 
-        # simulate calls run_trials itself; a sweep calls it per point
-        caller = cli if command == ["simulate"] else montecarlo
-        monkeypatch.setattr(caller, "run_trials", worker_died)
+        # simulate calls run_trials from cli; a sweep calls it per point
+        monkeypatch.setattr(montecarlo, "run_trials", worker_died)
         out = tmp_path / "x.csv"
         args = ["--config", str(config_file), "--frames", "20", "--workers", "2"]
         code = main(command + args + ["--out", str(out)])
@@ -785,23 +786,69 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # de, trace, baseline and one-worker runs start no pool, so they need not
-    # load the process-pool machinery
+def loaded_modules(args, cwd):
+    """Names of the modules that ``python args``, run in ``cwd``, imports,
+    read off its ``-X importtime`` report; the run must succeed."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (
-        "import sys, csasim.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
-    env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
+        [sys.executable, "-X", "importtime", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
+    # each command loads only the modules it runs: de, trace, baseline and
+    # one-worker runs start no pool, so they need not load the process-pool
+    # machinery, and de needs no Monte Carlo engine, decoder or logging
+    (tmp_path / "exp.cfg").write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
+    run = ["-m", "csasim.cli"]
+    files = ["--config", "exp.cfg", "--out", "out.csv"]
+    imported = loaded_modules(["-c", "import csasim.cli"], tmp_path)
+    assert {"multiprocessing", "concurrent.futures.process"} & imported == set()
+    de = loaded_modules([*run, "de", *files], tmp_path)
+    assert "csasim.density" in de
+    assert {"csasim.montecarlo", "csasim.decoder", "concurrent.futures", "logging"} & de == set()
+    simulate = loaded_modules([*run, "simulate", "--frames", "5", "--workers", "1", *files], tmp_path)
+    assert "csasim.montecarlo" in simulate
+    assert "concurrent.futures" not in simulate
+
+
+def test_package_exports_load_lazily():
+    # `import csasim` loads no submodule and an export loads only the module
+    # that defines it, while dir() and `import *` still give every export
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = textwrap.dedent(
+        """
+        import json, sys, csasim
+        listed = dir(csasim)
+        csasim.parse_config("ns=30\\nusers=8x(3,1)\\n")
+        loaded = sorted(name for name in sys.modules if name.startswith("csasim."))
+        star = {}
+        exec("from csasim import *", star)
+        star.pop("__builtins__")
+        print(json.dumps([csasim.__all__, listed, loaded, sorted(star)]))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    exports, listed, loaded, star = json.loads(result.stdout)
+    assert loaded == ["csasim.configfile", "csasim.model"]
+    assert set(exports) <= set(listed)
+    assert star == exports
 
 
 def test_every_export_resolves():
