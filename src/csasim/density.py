@@ -32,7 +32,9 @@ otherwise drift upward in saturated regimes where the linear remaining-burst
 factor undershoots the actual remaining population.
 
 Each binomial tail takes log C(n, i) from an exact log-factorial table that
-a process builds once per distinct n.
+a process builds once per distinct n. The module computes in Python floats
+with ``math``, every sum an exactly rounded ``math.fsum``, so ``de`` loads
+no NumPy.
 """
 from __future__ import annotations
 
@@ -41,8 +43,6 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-
-import numpy as np
 
 from .model import InternalError, SystemConfig, UserCode, expected_initial_histogram
 
@@ -67,7 +67,7 @@ class DETrace:
 
 
 @cache
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> tuple[float, ...]:
     """Table of log i! for i = 0..n, each i! an exact integer product.
 
     For i <= 12 the entry has the same bits as cephes' log-gamma at i + 1
@@ -76,7 +76,7 @@ def _log_factorials(n: int) -> np.ndarray:
     few ms at n in the thousands, so a process builds it once per n.
     """
     factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
-    return np.array([math.log(f) for f in factorials])
+    return tuple(math.log(f) for f in factorials)
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -99,21 +99,23 @@ def decode_probability(code: UserCode, p: float) -> float:
     if p == 1.0:
         return 0.0
     n = code.n
-    i = np.arange(code.k, n + 1)
     log_fact = _log_factorials(n)
-    log_binom = log_fact[n] - log_fact[i] - log_fact[n - i]
-    log_terms = log_binom + i * np.log1p(-p) + (n - i) * np.log(p)
-    return _clamp_unit(float(np.exp(log_terms).sum()), "decode probability")
+    log_q, log_p = math.log1p(-p), math.log(p)
+    terms = (
+        math.exp(log_fact[n] - log_fact[i] - log_fact[n - i] + i * log_q + (n - i) * log_p)
+        for i in range(code.k, n + 1)
+    )
+    return _clamp_unit(math.fsum(terms), "decode probability")
 
 
 def initial_erasure_probability(config: SystemConfig) -> float:
     """P_0: expected fraction of bursts in collided slots of a fresh frame.
 
     The collided mass sum_{d >= 2} d * pmf[d] of the expected slot-degree
-    law is summed in ascending d, then scaled by ns / total bursts.
+    law, exactly rounded, is scaled by ns / total bursts.
     """
-    pmf = expected_initial_histogram(config).tolist()
-    collided_mass = sum(d * pmf[d] for d in range(2, len(pmf)))
+    pmf = expected_initial_histogram(config)
+    collided_mass = math.fsum(d * pmf[d] for d in range(2, len(pmf)))
     return _clamp_unit(
         collided_mass * config.ns / config.total_bursts,
         "initial erasure probability",
@@ -134,12 +136,22 @@ def _collided_mass(config: SystemConfig, survival: float) -> float:
     code spans the whole frame (n = ns).
     """
     codes = config.code_groups
-    counts = np.array([count for _, count in codes], dtype=float)
-    q = np.array([code.n for code, _ in codes], dtype=float) / config.ns * survival
-    others = counts - np.eye(counts.size)  # row g holds c_h - [h = g]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) = -inf
-        log_empty = np.where(others > 0, others * np.log1p(-q), 0.0).sum(axis=1)
-    return float((counts * q * -np.expm1(log_empty)).sum())
+    q = [code.n / config.ns * survival for code, _ in codes]
+    empty = [_log_all_empty(count, q_h) for (_, count), q_h in zip(codes, q)]
+    mass = []
+    for g, ((_, count), q_g) in enumerate(zip(codes, q)):
+        others = empty.copy()
+        others[g] = _log_all_empty(count - 1, q_g)
+        mass.append(count * q_g * -math.expm1(math.fsum(others)))
+    return math.fsum(mass)
+
+
+def _log_all_empty(users: int, q: float) -> float:
+    """log (1 - q) ** users: the log-chance that ``users`` users, each in a
+    slot with probability ``q``, all leave it empty (0 for no users)."""
+    if users == 0:
+        return 0.0
+    return users * math.log1p(-q) if q < 1.0 else -math.inf
 
 
 def de_iterate(config: SystemConfig) -> DETrace:
@@ -151,15 +163,15 @@ def de_iterate(config: SystemConfig) -> DETrace:
     ns = config.ns
     total = config.total_bursts
     codes = config.code_groups
-    count_vec = np.array([count for _, count in codes], dtype=float)
-    bursts_vec = np.array([code.n for code, _ in codes], dtype=float) * count_vec
+    counts = [count for _, count in codes]
+    bursts = [code.n * count for code, count in codes]
 
     p = initial_erasure_probability(config)
     q_prev = 1.0
     states: list[DEState] = []
     for l in range(nu):
-        qbar = np.array([decode_probability(code, p) for code, _ in codes])
-        q = _clamp_unit(1.0 - float((qbar * count_vec).sum()) / nu, "q")
+        qbar = [decode_probability(code, p) for code, _ in codes]
+        q = _clamp_unit(1.0 - math.fsum(d * c for d, c in zip(qbar, counts)) / nu, "q")
         if q > q_prev + _BAND:
             raise InternalError(f"q increased from {q_prev!r} to {q!r}")
         # q_prev is 1 or a q that did not stop the loop, so q_prev >= EPSILON;
@@ -170,7 +182,7 @@ def de_iterate(config: SystemConfig) -> DETrace:
             break
 
         # burst-weighted undecoded share: the product of (1 - rho_l) telescopes
-        survival = float((bursts_vec * (1.0 - qbar)).sum()) / total
+        survival = math.fsum(b * (1.0 - d) for b, d in zip(bursts, qbar)) / total
         bracket = _collided_mass(config, survival) * ns / (total * (1.0 - l / nu))
         p_raw = bracket * beta + p * (1.0 - beta)
         if p_raw >= p - EPSILON:

@@ -5,16 +5,24 @@ bursts and transmits them on ``n`` distinct, uniformly chosen slots of the
 frame. A slot holding two or more bursts is a collision and every burst in it
 is lost; a user is recoverable once at least ``k`` of its bursts sit alone in
 their slots (possibly after interference cancellation, see ``decoder``).
+
+Only the members that place frames use NumPy (``place_frame``,
+``FramePlacement`` and the placement arrays of ``SystemConfig``), and each
+imports it where it runs, so parsing a config or computing the expected
+slot-degree law loads no NumPy.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_SEED = 2**64
 
@@ -93,11 +101,15 @@ class SystemConfig:
     @cached_property
     def thresholds(self) -> np.ndarray:
         """Clean bursts k_i each user needs, in user order (read-only)."""
+        import numpy as np
+
         return _read_only(np.array([u.k for u in self.users], dtype=np.int64))
 
     @cached_property
     def user_of_burst(self) -> np.ndarray:
         """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
+        import numpy as np
+
         return _read_only(np.repeat(np.arange(self.n_users), [u.n for u in self.users]))
 
     @cached_property
@@ -107,6 +119,8 @@ class SystemConfig:
         Groups are in ascending n, the order in which ``place_frame`` draws
         them, and each group is read-only with shape (users with n, n).
         """
+        import numpy as np
+
         burst_counts = np.array([u.n for u in self.users])
         n_of_burst = burst_counts[self.user_of_burst]
         return tuple(
@@ -138,6 +152,8 @@ class FramePlacement:
     degree_of_slot: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         try:
             degree = np.bincount(self.slot_of_burst, minlength=self.ns)
         except ValueError:  # a negative slot
@@ -160,6 +176,8 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     """
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
+    import numpy as np
+
     ns = config.ns
     rng = np.random.default_rng([config.seed, frame_index])
     slot_of_burst = np.empty(config.user_of_burst.size, dtype=np.int64)
@@ -181,47 +199,83 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst)
 
 
-def _binomial_pmf(count: int, p: float) -> np.ndarray:
-    """Binomial(count, p) law as a float64 vector of length ``count + 1``.
+# a binomial law keeps the entries whose log-ratio to its mode is at least
+# -44: e^-44 ~ 7.8e-20 of the mode, below the rounding of the entries that
+# hold the mass
+_LOG_CUTOFF = 44.0
 
-    Log-probabilities are cumulative sums of log(pmf[d] / pmf[d - 1]) =
-    log((count - d + 1) / d) + log(p / (1 - p)), taken outward from the mode
-    so that the entries holding the mass carry little rounding, then
-    exponentiated and normalised: O(count) work. p = 1 is a point mass at
-    ``count``.
+
+def _binomial_window(count: int, p: float) -> tuple[int, list[float]]:
+    """Binomial(count, p) law cut to the entries within e^-44 of its mode.
+
+    Returns ``(lo, pmf)``, where ``pmf[j]`` is the probability of
+    ``lo + j``. Log-probabilities relative to the mode are running sums of
+    log(pmf[d] / pmf[d - 1]) = log((count - d + 1) / d) + log(p / (1 - p)),
+    taken outward from the mode, so that the entries holding the mass carry
+    little rounding, until they fall below -44; the law is log-concave, so
+    no entry beyond is larger. They are then exponentiated and normalised:
+    O(sqrt(count p (1 - p))) work. p = 1 is a point mass at ``count``.
     """
     if p == 1.0:
-        pmf = np.zeros(count + 1)
-        pmf[count] = 1.0
-        return pmf
-    d = np.arange(1, count + 1)
-    step = np.log((count - d + 1) / d) + (math.log(p) - math.log1p(-p))
+        return count, [1.0]
+    log_odds = math.log(p) - math.log1p(-p)
     mode = min(int((count + 1) * p), count)
-    below = -np.cumsum(step[:mode][::-1])[::-1]
-    pmf = np.exp(np.concatenate((below, [0.0], np.cumsum(step[mode:]))))
-    return pmf / pmf.sum()
+
+    def outward(steps: range, sign: float) -> list[float]:
+        """Log-ratios to the mode, ``sign`` times the running sums of the
+        steps of ``steps``, until one falls below the cut."""
+        ratios: list[float] = []
+        log_ratio = 0.0
+        for d in steps:
+            log_ratio += math.log((count - d + 1) / d) + log_odds
+            if sign * log_ratio < -_LOG_CUTOFF:
+                break
+            ratios.append(sign * log_ratio)
+        return ratios
+
+    below = outward(range(mode, 0, -1), -1.0)  # degrees mode - 1, mode - 2, ...
+    above = outward(range(mode + 1, count + 1), 1.0)  # degrees mode + 1, ...
+    pmf = [math.exp(x) for x in [*reversed(below), 0.0, *above]]
+    total = math.fsum(pmf)
+    return mode - len(below), [x / total for x in pmf]
 
 
-def expected_initial_histogram(config: SystemConfig) -> np.ndarray:
+def _convolve(a: list[float], b: list[float]) -> list[float]:
+    """Law of the sum of two independent variables with laws ``a`` and ``b``;
+    each entry is the exactly rounded sum of its products."""
+    b_reversed = b[::-1]
+    out = []
+    for d in range(len(a) + len(b) - 1):
+        i = max(0, d - len(b) + 1)  # a[i], a[i + 1], ... meet b[d - i], b[d - i - 1], ...
+        out.append(math.fsum(map(operator.mul, a[i : d + 1], b_reversed[len(b) - 1 - d + i :])))
+    return out
+
+
+def expected_initial_histogram(config: SystemConfig) -> list[float]:
     """Exact expected slot-degree law under the placement model.
 
-    Entry d of the returned float64 vector (length ``n_users + 1``) is the
+    Entry d of the returned list of floats (length ``n_users + 1``) is the
     probability that a slot holds d bursts. A slot's degree is a sum of
     independent Bernoulli(n_i / ns) indicators, one per user, i.e.
     Poisson-binomial. Users of one burst count n share one probability, so
     the c users with that n contribute a Binomial(c, n / ns) law, and these
-    laws are convolved. Each law's underflowed upper tail is dropped before
-    the convolution, so a population whose mean slot degree is a few costs
-    time linear in users. The measured law of a placement is
+    laws are convolved. Each law is cut below about 1e-19 of its mode first,
+    so it costs time in its standard deviation, not in c, and entries beyond
+    the cuts read 0. The measured law of a placement is
     ``np.bincount(placement.degree_of_slot) / placement.ns``.
     """
     users_with_n: Counter[int] = Counter()
     for code, count in config.code_groups:
         users_with_n[code.n] += count
-    dist = np.ones(1)
+    lo, dist = 0, [1.0]
     for n, count in users_with_n.items():
-        pmf = _binomial_pmf(count, n / config.ns)
-        dist = np.convolve(dist, np.trim_zeros(pmf, "b"))
-    law = np.zeros(config.n_users + 1)
-    law[: dist.size] = dist
+        offset, pmf = _binomial_window(count, n / config.ns)
+        dist = _convolve(dist, pmf)
+        # the sum is log-concave too, and is cut as each law is
+        floor = max(dist) * math.exp(-_LOG_CUTOFF)
+        kept = [d for d, x in enumerate(dist) if x >= floor]
+        lo += offset + kept[0]
+        dist = dist[kept[0] : kept[-1] + 1]
+    law = [0.0] * (config.n_users + 1)
+    law[lo : lo + len(dist)] = dist
     return law

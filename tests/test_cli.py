@@ -673,7 +673,8 @@ l,p,q,beta
 6,1.32874e-06,0,1
 """,
     ),
-    # codes with n >= 13 take log C(n, i) from the exact log-factorial table
+    # codes with n >= 13 take log C(n, i) from the exact log-factorial table;
+    # row 6's q, 4.0e-26 in exact arithmetic, is below the rounding of 1 - D: 0
     "large-n": (
         "ns=6000\nusers=2x(2667,1000) 1500x(3,1)\n",
         """\
@@ -684,7 +685,7 @@ l,p,q,beta
 3,0.3494,0.042598,0.759078
 4,0.0845782,0.000604222,0.985816
 5,0.00119979,1.72478e-09,0.999997
-6,3.42485e-09,1.11022e-16,1
+6,3.42485e-09,0,1
 """,
     ),
 }
@@ -771,8 +772,9 @@ def test_monte_carlo_output_bytes_pinned(tmp_path, name):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the package needs numpy only; importing scipy.special alone would cost
-    # more than half of the command line's start-up
+    # the package needs no scipy, and de not even numpy; importing
+    # scipy.special alone would cost more than half of the command line's
+    # start-up
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = "import sys, csasim.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
@@ -820,6 +822,32 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     simulate = loaded_modules([*run, "simulate", "--frames", "5", "--workers", "1", *files], tmp_path)
     assert "csasim.montecarlo" in simulate
     assert "concurrent.futures" not in simulate
+
+
+def test_de_and_config_parsing_load_no_numpy(tmp_path):
+    # de computes in Python floats; NumPy loads only where frames are placed
+    (tmp_path / "exp.cfg").write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
+    run = ["-m", "csasim.cli"]
+    files = ["--config", "exp.cfg", "--out", "out.csv"]
+    parse = "import sys, csasim; csasim.parse_config(open(sys.argv[1]).read())"
+    assert "numpy" not in loaded_modules(["-c", parse, "exp.cfg"], tmp_path)
+    assert "numpy" not in loaded_modules([*run, "de", *files], tmp_path)
+    simulate = loaded_modules([*run, "simulate", "--frames", "5", "--workers", "1", *files], tmp_path)
+    assert "numpy" in simulate
+
+
+def test_de_without_numpy_writes_the_same_bytes(tmp_path):
+    config_text, _ = DE_PINNED["large-n"]
+    (tmp_path / "exp.cfg").write_text(config_text)
+    assert main(["de", "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "de.csv")]) == 0
+    blocked = "import sys; sys.modules['numpy'] = None; from csasim.cli import main; sys.exit(main())"
+    subprocess.run(
+        [sys.executable, "-c", blocked, "de", "--config", "exp.cfg", "--out", "blocked.csv"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        check=True,
+    )
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "de.csv").read_bytes()
 
 
 def test_package_exports_load_lazily():

@@ -1,3 +1,4 @@
+import math
 import pickle
 import sys
 from dataclasses import replace
@@ -235,26 +236,27 @@ class TestExpectedInitialHistogram:
         hist = expected_initial_histogram(config)
         assert hist[0] == pytest.approx(0.7, abs=1e-15)
         assert hist[1] == pytest.approx(0.3, abs=1e-15)
-        assert set(nonzero(hist)) == {0, 1}
+        assert set(nonzero(np.array(hist))) == {0, 1}
 
     @given(small_configs())
     @settings(max_examples=100, deadline=None)
     def test_normalized(self, config):
         hist = expected_initial_histogram(config)
-        assert hist.dtype == np.float64 and hist.shape == (config.n_users + 1,)
-        assert hist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert all(type(h) is float for h in hist) and len(hist) == config.n_users + 1
+        assert math.fsum(hist) == pytest.approx(1.0, abs=1e-12)
 
     @given(code_mixtures())
     @example(SystemConfig(ns=1, users=(UserCode(1, 1),)))
     @example(SystemConfig(ns=1, users=(UserCode(1, 1),) * 7))
     @example(SystemConfig(ns=9, users=(UserCode(4, 3),)))
     @example(SystemConfig(ns=5, users=(UserCode(5, 2),) * 3 + (UserCode(2, 1),) * 20))
+    @example(SystemConfig(ns=4, users=(UserCode(2, 1),) * 100))  # tails cut below 1e-19 of the mode
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_rational_law(self, config):
         hist = expected_initial_histogram(config)
         exact = exact_degree_law(config)
-        assert hist.shape == (len(exact),)
-        assert max(abs(float(h - e)) for h, e in zip(hist.tolist(), exact)) <= LAW_TOLERANCE
+        assert len(hist) == len(exact)
+        assert max(abs(float(h - e)) for h, e in zip(hist, exact)) <= LAW_TOLERANCE
         collided = sum(d * exact[d] for d in range(2, len(exact)))
         p0 = collided * config.ns / config.total_bursts
         assert abs(float(initial_erasure_probability(config) - p0)) <= LAW_TOLERANCE
