@@ -23,12 +23,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .configfile import parse_config
 from .csvio import emit_csv
-from .model import InternalError
+from .model import InternalError, SystemConfig
 
 if TYPE_CHECKING:
     from .decoder import DecodeTrace
@@ -82,7 +81,7 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
     with open(args.config) as handle:
         config = parse_config(handle.read())
     if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
+        config = SystemConfig(config.ns, config.users, args.seed)
     if args.command == "simulate":
         from .montecarlo import SweepResult, run_trials
 

@@ -19,38 +19,35 @@ fixpoint's erasure fraction is above 0 exactly when the frame deadlocked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .model import FramePlacement, InternalError, SystemConfig, place_frame
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Statistics of one productive decoding round: ``p_empirical``, the
-    fraction of the not-yet-decoded users' bursts in collided slots before its
+class RoundRecord(namedtuple("RoundRecord", "newly_decoded p_empirical q_empirical")):
+    """Statistics of one productive decoding round: ``newly_decoded``, the
+    frozenset of the user indices it decodes, ``p_empirical``, the fraction
+    of the not-yet-decoded users' bursts in collided slots before its
     subtractions, and ``q_empirical``, the fraction of users undecoded after."""
 
-    newly_decoded: frozenset[int]
-    p_empirical: float
-    q_empirical: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(namedtuple("DecodeTrace", "rounds final_p")):
     """Outcome of decoding one frame.
 
-    ``rounds`` records productive rounds only, round l at index l; a round
-    that decodes nobody is the fixpoint and is not recorded. ``final_p`` is
-    the residual erasure fraction at the fixpoint, i.e. what ``p_empirical``
-    would read one round past the last recorded one. It is above 0 exactly
-    when a user stays undecoded (a deadlock): such a user has fewer than k
-    clean bursts, so it keeps at least n - k + 1 of them in collided slots.
+    ``rounds`` is a tuple of the ``RoundRecord``s of the productive rounds
+    only, round l at index l; a round that decodes nobody is the fixpoint and
+    is not recorded. ``final_p`` is the residual erasure fraction at the
+    fixpoint, i.e. what ``p_empirical`` would read one round past the last
+    recorded one. It is above 0 exactly when a user stays undecoded (a
+    deadlock): such a user has fewer than k clean bursts, so it keeps at
+    least n - k + 1 of them in collided slots.
     """
 
-    rounds: tuple[RoundRecord, ...]
-    final_p: float
+    __slots__ = ()
 
     @property
     def decoded_users(self) -> frozenset[int]:

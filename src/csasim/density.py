@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 
@@ -50,20 +50,18 @@ EPSILON = 1e-9
 _BAND = 1e-9  # tolerance for float dust around [0, 1] before clamping
 
 
-@dataclass(frozen=True)
-class DEState:
-    """Recursion state at one round; state l is ``DETrace.states[l]``."""
+class DEState(namedtuple("DEState", "p q beta")):
+    """Recursion state at one round, floats ``p``, ``q`` and ``beta``; state
+    l is ``DETrace.states[l]``."""
 
-    p: float
-    q: float
-    beta: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DETrace:
-    """Full recursion history; the q of the last state is the predicted PLR."""
+class DETrace(namedtuple("DETrace", "states")):
+    """Full recursion history, a tuple of ``DEState``; the q of the last
+    state is the predicted PLR."""
 
-    states: tuple[DEState, ...]
+    __slots__ = ()
 
 
 @cache

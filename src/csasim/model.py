@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 _MAX_SEED = 2**64
@@ -31,67 +32,96 @@ class InternalError(RuntimeError):
     """A package invariant failed: a bug in csasim, not a bad input."""
 
 
-@dataclass(frozen=True)
-class UserCode:
+class UserCode(namedtuple("UserCode", "n k")):
     """Access-code parameters of one user.
 
     ``n`` is the number of bursts sent per frame, ``k`` the number of clean
     (collision-free) bursts needed to recover the whole payload.
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"burst count n must be >= 1, got {self.n}")
-        if self.n > sys.maxsize:  # no frame can hold it, nor can de's factorial table
-            raise ValueError(f"burst count n must be <= {sys.maxsize}, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got (n={self.n}, k={self.k})")
+    def __new__(cls, n: int, k: int) -> UserCode:
+        if n < 1:
+            raise ValueError(f"burst count n must be >= 1, got {n}")
+        if n > sys.maxsize:  # no frame can hold it, nor can de's factorial table
+            raise ValueError(f"burst count n must be <= {sys.maxsize}, got {n}")
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got (n={n}, k={k})")
+        return super().__new__(cls, n, k)
+
+    @classmethod
+    def _make(cls, iterable) -> UserCode:
+        # ``_replace`` builds through ``_make``, so it is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class SystemConfig:
-    """One experiment setup: frame size, user population, and RNG seed."""
+    """One experiment setup: frame size, user population, and RNG seed.
+
+    The fields ``ns``, ``users`` and ``seed`` are read-only, and they alone
+    make a config's identity (equality, hash, repr, pickled state); what is
+    derived from them is cached on first read.
+    """
 
     ns: int
     users: tuple[UserCode, ...]
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "users", tuple(self.users))
-        if self.ns < 1:
-            raise ValueError(f"frame size ns must be >= 1, got {self.ns}")
-        if self.ns > sys.maxsize:  # no frame of that many slots can be placed
-            raise ValueError(f"frame size ns must be <= {sys.maxsize}, got {self.ns}")
-        if not self.users:
+    def __init__(self, ns: int, users: Iterable[UserCode], seed: int = 0) -> None:
+        users = tuple(users)
+        if ns < 1:
+            raise ValueError(f"frame size ns must be >= 1, got {ns}")
+        if ns > sys.maxsize:  # no frame of that many slots can be placed
+            raise ValueError(f"frame size ns must be <= {sys.maxsize}, got {ns}")
+        if not users:
             raise ValueError("user list is empty")
-        for u in self.users:
-            if u.n > self.ns:
-                raise ValueError(
-                    f"burst count n={u.n} exceeds frame size ns={self.ns}"
-                )
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        for u in users:
+            if u.n > ns:
+                raise ValueError(f"burst count n={u.n} exceeds frame size ns={ns}")
+        if not 0 <= seed < _MAX_SEED:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        self.__dict__.update(ns=ns, users=users, seed=seed)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"SystemConfig field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple[int, tuple[UserCode, ...], int]:
+        return self.ns, self.users, self.seed
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SystemConfig:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SystemConfig(ns={self.ns!r}, users={self.users!r}, seed={self.seed!r})"
 
     def __getstate__(self) -> dict:
         # fields only: the cached arrays are rebuilt, read-only, where used
         return {"ns": self.ns, "users": self.users, "seed": self.seed}
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+
     @property
     def n_users(self) -> int:
         return len(self.users)
 
-    @property
+    @cached_property
     def total_bursts(self) -> int:
         """Bursts transmitted per frame, summed over users."""
-        return sum(u.n for u in self.users)
+        return sum(code.n * count for code, count in self.code_groups)
 
-    @property
+    @cached_property
     def total_payload(self) -> int:
         """Decoded-payload bursts per frame when every user is recovered."""
-        return sum(u.k for u in self.users)
+        return sum(code.k * count for code, count in self.code_groups)
 
     @cached_property
     def code_groups(self) -> tuple[tuple[UserCode, int], ...]:
@@ -134,7 +164,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
 class FramePlacement:
     """Assignment of every burst of one frame to a slot.
 
@@ -143,24 +172,39 @@ class FramePlacement:
     users before it, in distinct slots sorted ascending, so a placement of a
     config holds ``slot_of_burst.size == config.total_bursts`` bursts.
     ``degree_of_slot[s]`` counts the bursts in slot ``s``, derived on
-    construction. Nothing in this package mutates a placement after
-    construction.
+    construction. The fields are read-only, and nothing in this package
+    mutates their arrays after construction.
     """
+
+    __slots__ = ("ns", "slot_of_burst", "degree_of_slot")
 
     ns: int
     slot_of_burst: np.ndarray
-    degree_of_slot: np.ndarray = field(init=False, repr=False)
+    degree_of_slot: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, ns: int, slot_of_burst: np.ndarray) -> None:
         import numpy as np
 
         try:
-            degree = np.bincount(self.slot_of_burst, minlength=self.ns)
+            degree = np.bincount(slot_of_burst, minlength=ns)
         except ValueError:  # a negative slot
             degree = None
-        if degree is None or degree.size > self.ns:  # or a slot at or above ns
-            raise ValueError(f"slots must lie in [0, {self.ns})")
+        if degree is None or degree.size > ns:  # or a slot at or above ns
+            raise ValueError(f"slots must lie in [0, {ns})")
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "slot_of_burst", slot_of_burst)
         object.__setattr__(self, "degree_of_slot", degree)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"FramePlacement field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"FramePlacement(ns={self.ns!r}, slot_of_burst={self.slot_of_burst!r})"
+
+    def __reduce__(self) -> tuple:
+        return FramePlacement, (self.ns, self.slot_of_burst)
 
 
 def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:

@@ -20,8 +20,8 @@ import logging
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,35 +35,30 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TrialAggregate:
+class TrialAggregate(
+    namedtuple("TrialAggregate", "frames g t_mean plr_mean t_ci95 plr_ci95 mean_rounds")
+):
     """Averaged metrics of many independently simulated frames.
 
-    ``t_ci95`` and ``plr_ci95`` are half-widths of normal-approximation 95%
-    confidence intervals; ``mean_rounds`` is the average number of productive
-    decoder rounds per frame.
+    ``frames`` is the frame count and ``g`` the realized load; the rest are
+    floats. ``t_mean`` and ``plr_mean`` are the mean throughput and loss
+    ratio, ``t_ci95`` and ``plr_ci95`` half-widths of normal-approximation
+    95% confidence intervals, and ``mean_rounds`` the average number of
+    productive decoder rounds per frame.
     """
 
-    frames: int
-    g: float
-    t_mean: float
-    plr_mean: float
-    t_ci95: float
-    plr_ci95: float
-    mean_rounds: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(namedtuple("SweepResult", "config points")):
     """The ``SystemConfig`` that was swept (or simulated) and its trial
-    aggregates, in ascending realized load.
+    aggregates, a tuple of ``TrialAggregate`` in ascending realized load.
 
     Every point runs on ``config``'s frame size and seed, and its code groups
     label the n and k columns, including a code a light load gives no users.
     """
 
-    config: SystemConfig
-    points: tuple[TrialAggregate, ...]
+    __slots__ = ()
 
     @property
     def peak(self) -> TrialAggregate:
@@ -71,12 +66,11 @@ class SweepResult:
         return max(self.points, key=lambda pt: pt.t_mean)
 
 
-@dataclass(frozen=True)
-class BaselineCurve:
-    """Analytic Aloha throughput curve on a load grid."""
+class BaselineCurve(namedtuple("BaselineCurve", "variant points")):
+    """Analytic Aloha throughput curve on a load grid: the ``variant`` name
+    and its ``points``, a tuple of (load, throughput) pairs."""
 
-    variant: str
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
 
 def normalized_load(config: SystemConfig) -> float:
@@ -240,7 +234,7 @@ def _realizable(config: SystemConfig, g_values: Sequence[float]) -> Iterator[Sys
         if users is None:
             logger.warning("skipping G=%g: load too small for one user", g)
             continue
-        yield replace(config, users=users)
+        yield SystemConfig(config.ns, users, config.seed)
 
 
 def sweep_load(

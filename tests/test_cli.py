@@ -825,13 +825,16 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
 
 
 def test_de_and_config_parsing_load_no_numpy(tmp_path):
-    # de computes in Python floats; NumPy loads only where frames are placed
+    # de computes in Python floats; NumPy loads only where frames are placed.
+    # The records are named tuples and plain classes, so neither loads
+    # dataclasses nor the inspect module it imports
     (tmp_path / "exp.cfg").write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
     run = ["-m", "csasim.cli"]
     files = ["--config", "exp.cfg", "--out", "out.csv"]
     parse = "import sys, csasim; csasim.parse_config(open(sys.argv[1]).read())"
-    assert "numpy" not in loaded_modules(["-c", parse, "exp.cfg"], tmp_path)
-    assert "numpy" not in loaded_modules([*run, "de", *files], tmp_path)
+    unloaded = {"numpy", "dataclasses", "inspect"}
+    assert not unloaded & loaded_modules(["-c", parse, "exp.cfg"], tmp_path)
+    assert not unloaded & loaded_modules([*run, "de", *files], tmp_path)
     simulate = loaded_modules([*run, "simulate", "--frames", "5", "--workers", "1", *files], tmp_path)
     assert "numpy" in simulate
 

@@ -1,7 +1,6 @@
 import math
 import pickle
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +55,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             UserCode(n=2, k=0)
 
+    def test_user_code_replace_is_checked(self):
+        assert UserCode(3, 1)._replace(k=3) == UserCode(3, 3)
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            UserCode(3, 1)._replace(k=4)
+
     def test_rejects_n_exceeding_frame(self):
         with pytest.raises(ValueError, match="exceeds frame size"):
             SystemConfig(ns=4, users=(UserCode(5, 1),))
@@ -90,8 +94,40 @@ class TestCodeGroups:
         config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
         assert config.code_groups is config.code_groups
         assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
-        assert replace(config, seed=2).code_groups == ((UserCode(2, 1), 3),)
+        assert SystemConfig(config.ns, config.users, seed=2).code_groups == ((UserCode(2, 1), 3),)
         assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_fields_are_read_only(self):
+        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        placement = place_frame(config, 0)
+        for record, name in [
+            (UserCode(2, 1), "n"),
+            (UserCode(2, 1), "k"),
+            (config, "ns"),
+            (config, "users"),
+            (config, "seed"),
+            (placement, "ns"),
+            (placement, "slot_of_burst"),
+            (placement, "degree_of_slot"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        copy = pickle.loads(pickle.dumps(placement))
+        assert copy.ns == 5 and copy.degree_of_slot.tolist() == placement.degree_of_slot.tolist()
+
+    def test_pickle_carries_no_cached_array(self):
+        config = SystemConfig(ns=6, users=(UserCode(3, 1), UserCode(2, 2)), seed=4)
+        assert config.thresholds.tolist() == [1, 2]
+        assert config.user_of_burst.tolist() == [0, 0, 0, 1, 1]
+        data = pickle.dumps(config)
+        assert b"numpy" not in data
+        copy = pickle.loads(data)
+        assert not {"thresholds", "user_of_burst"} & set(vars(copy))
+        assert copy == config and hash(copy) == hash(config)
+        assert copy.user_of_burst.tolist() == [0, 0, 0, 1, 1]
 
 
 class TestBurstArrays:
