@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .configfile import parse_config
 from .csvio import emit_csv
-from .model import InternalError, SystemConfig
+from .model import InternalError
 
 if TYPE_CHECKING:
     from .decoder import DecodeTrace
@@ -81,7 +81,7 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
     with open(args.config) as handle:
         config = parse_config(handle.read())
     if getattr(args, "seed", None) is not None:
-        config = SystemConfig(config.ns, config.users, args.seed)
+        config = config._replace(seed=args.seed)
     if args.command == "simulate":
         from .montecarlo import SweepResult, run_trials
 

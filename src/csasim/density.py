@@ -42,7 +42,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .model import InternalError, SystemConfig, UserCode, expected_initial_histogram
 
@@ -110,10 +110,12 @@ def initial_erasure_probability(config: SystemConfig) -> float:
     """P_0: expected fraction of bursts in collided slots of a fresh frame.
 
     The collided mass sum_{d >= 2} d * pmf[d] of the expected slot-degree
-    law, exactly rounded, is scaled by ns / total bursts.
+    law, exactly rounded, is scaled by ns / total bursts. Only the nonzero
+    entries, a window around the law's mode, are summed.
     """
     pmf = expected_initial_histogram(config)
-    collided_mass = math.fsum(d * pmf[d] for d in range(2, len(pmf)))
+    degrees = compress(range(2, len(pmf)), pmf[2:])
+    collided_mass = math.fsum(d * pmf[d] for d in degrees)
     return _clamp_unit(
         collided_mass * config.ns / config.total_bursts,
         "initial erasure probability",

@@ -56,58 +56,38 @@ class UserCode(namedtuple("UserCode", "n k")):
         return cls(*iterable)
 
 
-class SystemConfig:
+class SystemConfig(namedtuple("SystemConfig", "ns users seed")):
     """One experiment setup: frame size, user population, and RNG seed.
 
-    The fields ``ns``, ``users`` and ``seed`` are read-only, and they alone
-    make a config's identity (equality, hash, repr, pickled state); what is
-    derived from them is cached on first read.
+    The fields ``ns``, ``users`` and ``seed`` alone make a config's identity
+    (equality, hash, repr, pickled state); what is derived from them is
+    cached on first read.
     """
 
-    ns: int
-    users: tuple[UserCode, ...]
-    seed: int
-
-    def __init__(self, ns: int, users: Iterable[UserCode], seed: int = 0) -> None:
-        users = tuple(users)
+    def __new__(cls, ns: int, users: Iterable[UserCode], seed: int = 0) -> SystemConfig:
         if ns < 1:
             raise ValueError(f"frame size ns must be >= 1, got {ns}")
         if ns > sys.maxsize:  # no frame of that many slots can be placed
             raise ValueError(f"frame size ns must be <= {sys.maxsize}, got {ns}")
-        if not users:
+        self = super().__new__(cls, ns, tuple(users), seed)
+        if not self.users:
             raise ValueError("user list is empty")
-        for u in users:
-            if u.n > ns:
-                raise ValueError(f"burst count n={u.n} exceeds frame size ns={ns}")
+        for code, _ in self.code_groups:
+            if code.n > ns:
+                raise ValueError(f"burst count n={code.n} exceeds frame size ns={ns}")
         if not 0 <= seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.__dict__.update(ns=ns, users=users, seed=seed)
+        return self
 
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"SystemConfig field {name!r} is read-only")
+    @classmethod
+    def _make(cls, iterable) -> SystemConfig:
+        # ``_replace`` builds through ``_make``, so it is checked too
+        return cls(*iterable)
 
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple[int, tuple[UserCode, ...], int]:
-        return self.ns, self.users, self.seed
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SystemConfig:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"SystemConfig(ns={self.ns!r}, users={self.users!r}, seed={self.seed!r})"
-
-    def __getstate__(self) -> dict:
-        # fields only: the cached arrays are rebuilt, read-only, where used
-        return {"ns": self.ns, "users": self.users, "seed": self.seed}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def __getstate__(self) -> None:
+        # the fields pickle as the constructor's arguments; what is cached is
+        # derived again where it is read, the arrays read-only
+        return None
 
     @property
     def n_users(self) -> int:
@@ -164,7 +144,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class FramePlacement:
+class FramePlacement(namedtuple("FramePlacement", "ns slot_of_burst degree_of_slot")):
     """Assignment of every burst of one frame to a slot.
 
     ``slot_of_burst`` lists the slots of all bursts, user after user in config
@@ -172,17 +152,13 @@ class FramePlacement:
     users before it, in distinct slots sorted ascending, so a placement of a
     config holds ``slot_of_burst.size == config.total_bursts`` bursts.
     ``degree_of_slot[s]`` counts the bursts in slot ``s``, derived on
-    construction. The fields are read-only, and nothing in this package
-    mutates their arrays after construction.
+    construction. Nothing in this package mutates the arrays after
+    construction, and placements compare by identity.
     """
 
-    __slots__ = ("ns", "slot_of_burst", "degree_of_slot")
+    __slots__ = ()
 
-    ns: int
-    slot_of_burst: np.ndarray
-    degree_of_slot: np.ndarray
-
-    def __init__(self, ns: int, slot_of_burst: np.ndarray) -> None:
+    def __new__(cls, ns: int, slot_of_burst: np.ndarray) -> FramePlacement:
         import numpy as np
 
         try:
@@ -191,20 +167,19 @@ class FramePlacement:
             degree = None
         if degree is None or degree.size > ns:  # or a slot at or above ns
             raise ValueError(f"slots must lie in [0, {ns})")
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "slot_of_burst", slot_of_burst)
-        object.__setattr__(self, "degree_of_slot", degree)
+        return super().__new__(cls, ns, slot_of_burst, degree)
 
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"FramePlacement field {name!r} is read-only")
+    @classmethod
+    def _make(cls, iterable) -> FramePlacement:
+        # ``_replace`` builds through ``_make``: the degree is derived again
+        ns, slot_of_burst, _ = iterable
+        return cls(ns, slot_of_burst)
 
-    __delattr__ = __setattr__
+    def __getnewargs__(self) -> tuple[int, np.ndarray]:
+        return self.ns, self.slot_of_burst
 
-    def __repr__(self) -> str:
-        return f"FramePlacement(ns={self.ns!r}, slot_of_burst={self.slot_of_burst!r})"
-
-    def __reduce__(self) -> tuple:
-        return FramePlacement, (self.ns, self.slot_of_burst)
+    # a tuple's comparison would compare arrays, which have no single truth value
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:

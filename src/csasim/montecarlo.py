@@ -234,7 +234,7 @@ def _realizable(config: SystemConfig, g_values: Sequence[float]) -> Iterator[Sys
         if users is None:
             logger.warning("skipping G=%g: load too small for one user", g)
             continue
-        yield SystemConfig(config.ns, users, config.seed)
+        yield config._replace(users=users)
 
 
 def sweep_load(

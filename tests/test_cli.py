@@ -826,8 +826,8 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
 
 def test_de_and_config_parsing_load_no_numpy(tmp_path):
     # de computes in Python floats; NumPy loads only where frames are placed.
-    # The records are named tuples and plain classes, so neither loads
-    # dataclasses nor the inspect module it imports
+    # The records are named tuples, so neither loads dataclasses nor the
+    # inspect module it imports
     (tmp_path / "exp.cfg").write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
     run = ["-m", "csasim.cli"]
     files = ["--config", "exp.cfg", "--out", "out.csv"]

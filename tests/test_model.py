@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from csasim import (
+    FramePlacement,
     SystemConfig,
     UserCode,
     expected_initial_histogram,
@@ -63,6 +64,18 @@ class TestValidation:
     def test_rejects_n_exceeding_frame(self):
         with pytest.raises(ValueError, match="exceeds frame size"):
             SystemConfig(ns=4, users=(UserCode(5, 1),))
+        # the first too-long code is named, after valid users and before a later one
+        users = (UserCode(2, 1), UserCode(4, 1), UserCode(6, 2), UserCode(2, 1), UserCode(5, 1))
+        with pytest.raises(ValueError, match="n=6 exceeds frame size ns=4"):
+            SystemConfig(ns=4, users=users)
+
+    def test_config_replace_is_checked(self):
+        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3, seed=1)
+        assert config._replace(seed=2) == SystemConfig(5, config.users, 2)
+        with pytest.raises(ValueError, match="frame size ns must be >= 1"):
+            config._replace(ns=0)
+        with pytest.raises(ValueError, match="n=9 exceeds frame size ns=5"):
+            config._replace(users=(UserCode(9, 1),))
 
     def test_rejects_nonpositive_frame(self):
         for ns in (0, -1):
@@ -94,7 +107,7 @@ class TestCodeGroups:
         config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
         assert config.code_groups is config.code_groups
         assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
-        assert SystemConfig(config.ns, config.users, seed=2).code_groups == ((UserCode(2, 1), 3),)
+        assert config._replace(seed=2).code_groups == ((UserCode(2, 1), 3),)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_fields_are_read_only(self):
@@ -155,9 +168,27 @@ class TestBurstArrays:
             assert (n_of_position == group.shape[1]).all()
         covered = np.sort(np.concatenate([g.ravel() for g in groups]))
         assert covered.tolist() == list(range(config.total_bursts))
-        assert set(config.__getstate__()) == {"ns", "users", "seed"}
+        # a config pickled after its arrays were read carries none of them
         copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and hash(copy) == hash(config)
+        assert not {"thresholds", "user_of_burst", "placement_groups"} & set(vars(copy))
         assert all(not g.flags.writeable for g in copy.placement_groups)
+
+
+class TestFramePlacement:
+    def test_replace_derives_the_degree_again(self):
+        placement = FramePlacement(4, np.array([0, 1, 1]))
+        moved = placement._replace(slot_of_burst=np.array([3, 3, 3, 2]))
+        assert moved.ns == 4
+        assert moved.degree_of_slot.tolist() == [0, 0, 1, 3]
+        with pytest.raises(ValueError, match="slots must lie in"):
+            placement._replace(slot_of_burst=np.array([4]))
+
+    def test_compares_by_identity(self):
+        a = FramePlacement(3, np.array([0, 2]))
+        b = FramePlacement(3, np.array([0, 2]))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 class TestPlaceFrame:
