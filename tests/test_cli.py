@@ -705,7 +705,8 @@ def test_de_output_bytes_pinned(tmp_path, name):
 # placements became one flat burst array: the tier-1 config, a dense mixture
 # (n > ns/2 and several code groups) on two workers, a short sweep of the
 # mc-sweep mixture, and the decoder trace of one mc-peak frame; a changed RNG
-# draw order or decoding rule shows here
+# draw order or decoding rule shows here. The interleaved entries were
+# recorded while a config still held one code per user.
 MC_PINNED = {
     "simulate": (
         "ns=30\nusers=8x(3,1)\nseed=11\n",
@@ -731,6 +732,27 @@ g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
 0.2,100,4;2,2;1,20,0.2,0,1.24804e-17,0,3
 0.6,100,4;2,2;1,20,0.504,0.153488,0.0494702,0.0758698,3
 0.99,100,4;2,2;1,20,0.1745,0.794366,0.0311035,0.0335956,3
+""",
+    ),
+    # a code repeated after other codes: per-user order decides which user
+    # gets which placement row
+    "simulate-interleaved": (
+        "ns=12\nusers=1x(3,1) 2x(3,2) 1x(2,1) 1x(3,1)\nseed=5\n",
+        ["simulate", "--frames", "40", "--workers", "2"],
+        """\
+g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+0.583333,12,3;3;2,1;2;1,40,0.416667,0.255,0.0640646,0.100224,5
+""",
+    ),
+    "trace-interleaved": (
+        "ns=12\nusers=1x(3,1) 2x(3,2) 1x(2,1) 1x(3,1)\nseed=5\n",
+        ["trace", "--frame-index", "7"],
+        """\
+l,newly_decoded,p_empirical,q_empirical
+0,4,0.785714,0.8
+1,3,0.727273,0.6
+2,0,0.666667,0.4
+3,1;2,0.333333,0
 """,
     ),
     "trace-peak": (
