@@ -6,20 +6,22 @@ ignored. Keys:
     ns=400                      frame size in slots
     seed=7                      64-bit RNG seed (optional, default 0)
     users=302x(3,1)             user population, space-separated groups
-    users=2x(4,2) 3x(2,1)       heterogeneous mixture, expanded in order
+    users=2x(4,2) 3x(2,1)       heterogeneous mixture, users in group order
 
-The user codes and the population are checked by ``UserCode`` and
-``SystemConfig``; every diagnostic about a line carries its number.
+Integers are ASCII digits, with an optional ``-`` for ``ns`` and ``seed``.
+Each group becomes one ``(UserCode, count)`` pair of ``SystemConfig``,
+which checks them; every diagnostic about a line carries its number.
 """
 from __future__ import annotations
 
 import re
 import sys
-from itertools import groupby
+from typing import Iterator
 
 from .model import SystemConfig, UserCode
 
-_GROUP_RE = re.compile(r"^(\d+)x\((\d+),(\d+)\)$")
+_GROUP_RE = re.compile(r"^(\d+)x\((\d+),(\d+)\)$", re.ASCII)
+_INT_RE = re.compile(r"-?[0-9]+")
 _KEYS = ("ns", "seed", "users")
 
 
@@ -31,34 +33,25 @@ class ConfigError(ValueError):
 
 
 def _parse_int(key: str, value: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"non-numeric value for '{key}': {value!r}", line) from None
+    if _INT_RE.fullmatch(value) is None:
+        raise ConfigError(f"non-numeric value for '{key}': {value!r}", line)
+    return int(value)
 
 
-def _parse_users(value: str, line: int) -> list[tuple[int, int, int]]:
-    groups: list[tuple[int, int, int]] = []
+def _parse_users(value: str) -> Iterator[tuple[UserCode, int]]:
     for token in value.split():
         match = _GROUP_RE.match(token)
         if match is None:
-            raise ConfigError(
-                f"malformed user group {token!r} (expected COUNTx(n,k))", line
-            )
+            raise ValueError(f"malformed user group {token!r} (expected COUNTx(n,k))")
         count, n, k = (int(x) for x in match.groups())
-        if count < 1:
-            raise ConfigError(f"user group count must be >= 1, got {count}", line)
-        if count > sys.maxsize:
-            raise ConfigError(f"user group count must be <= {sys.maxsize}, got {count}", line)
-        groups.append((count, n, k))
-    return groups
+        yield UserCode(n, k), count
 
 
 def parse_config(text: str) -> SystemConfig:
     """Parse configuration text into a validated SystemConfig."""
     ns: int | None = None
     seed = 0
-    groups: list[tuple[int, int, int]] | None = None
+    users: str | None = None
     users_line = 0
     seen: set[str] = set()
 
@@ -89,28 +82,22 @@ def parse_config(text: str) -> SystemConfig:
                     f"seed must be a 64-bit unsigned integer, got {seed}", lineno
                 )
         elif key == "users":
-            groups = _parse_users(value, lineno)
+            users = value
             users_line = lineno
 
     if ns is None:
         raise ConfigError("missing required key 'ns'")
-    if groups is None:
+    if users is None:
         raise ConfigError("missing required key 'users'")
 
-    # ns and seed are valid here, so whatever the model rejects is on the
-    # users line
+    # ns and seed are valid here, so whatever is wrong now is on the users line
     try:
-        users: list[UserCode] = []
-        for count, n, k in groups:
-            users.extend([UserCode(n=n, k=k)] * count)
-        return SystemConfig(ns=ns, users=tuple(users), seed=seed)
+        return SystemConfig(ns, _parse_users(users), seed)
     except ValueError as exc:
         raise ConfigError(str(exc), users_line) from None
 
 
 def render_config(config: SystemConfig) -> str:
-    """Inverse of parse_config; run-length encodes the user list in order."""
-    users = " ".join(
-        f"{len(list(run))}x({code.n},{code.k})" for code, run in groupby(config.users)
-    )
+    """Inverse of parse_config: one ``COUNTx(n,k)`` token per group, in order."""
+    users = " ".join(f"{count}x({code.n},{code.k})" for code, count in config.groups)
     return f"ns={config.ns}\nseed={config.seed}\nusers={users}\n"

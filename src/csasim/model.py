@@ -56,25 +56,34 @@ class UserCode(namedtuple("UserCode", "n k")):
         return cls(*iterable)
 
 
-class SystemConfig(namedtuple("SystemConfig", "ns users seed")):
+class SystemConfig(namedtuple("SystemConfig", "ns groups seed")):
     """One experiment setup: frame size, user population, and RNG seed.
 
-    The fields ``ns``, ``users`` and ``seed`` alone make a config's identity
-    (equality, hash, repr, pickled state); what is derived from them is
-    cached on first read.
+    ``groups`` holds ``(UserCode, count)`` pairs in user order, each pair's
+    users after those of the pairs before it, and pairs of one code apart.
+    The fields alone make a config's identity (equality, hash, repr, pickled
+    state); what is derived from them is cached on first read, and no
+    attribute can be assigned or deleted.
     """
 
-    def __new__(cls, ns: int, users: Iterable[UserCode], seed: int = 0) -> SystemConfig:
+    def __new__(cls, ns: int, groups: Iterable[tuple[UserCode, int]], seed: int = 0) -> SystemConfig:
         if ns < 1:
             raise ValueError(f"frame size ns must be >= 1, got {ns}")
         if ns > sys.maxsize:  # no frame of that many slots can be placed
             raise ValueError(f"frame size ns must be <= {sys.maxsize}, got {ns}")
-        self = super().__new__(cls, ns, tuple(users), seed)
-        if not self.users:
+        self = super().__new__(cls, ns, tuple((code, count) for code, count in groups), seed)
+        if not self.groups:
             raise ValueError("user list is empty")
-        for code, _ in self.code_groups:
+        for code, count in self.groups:
+            if count < 1:
+                raise ValueError(f"user group count must be >= 1, got {count}")
             if code.n > ns:
                 raise ValueError(f"burst count n={code.n} exceeds frame size ns={ns}")
+        # the slot-degree law's n_users + 1 entries must fit in a list
+        if self.n_users >= sys.maxsize:
+            raise ValueError(
+                f"user group count must be <= {sys.maxsize - 1} in total, got {self.n_users}"
+            )
         if not 0 <= seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         return self
@@ -89,38 +98,52 @@ class SystemConfig(namedtuple("SystemConfig", "ns users seed")):
         # derived again where it is read, the arrays read-only
         return None
 
-    @property
+    # ``cached_property`` writes the instance ``__dict__`` directly
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"SystemConfig attribute {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    @cached_property
     def n_users(self) -> int:
-        return len(self.users)
+        return sum(count for _, count in self.groups)
 
     @cached_property
     def total_bursts(self) -> int:
         """Bursts transmitted per frame, summed over users."""
-        return sum(code.n * count for code, count in self.code_groups)
+        return sum(code.n * count for code, count in self.groups)
 
     @cached_property
     def total_payload(self) -> int:
         """Decoded-payload bursts per frame when every user is recovered."""
-        return sum(code.k * count for code, count in self.code_groups)
+        return sum(code.k * count for code, count in self.groups)
 
     @cached_property
     def code_groups(self) -> tuple[tuple[UserCode, int], ...]:
         """Distinct user codes with their user counts, in first-occurrence order."""
-        return tuple(Counter(self.users).items())
+        users_with_code: Counter[UserCode] = Counter()
+        for code, count in self.groups:
+            users_with_code[code] += count
+        return tuple(users_with_code.items())
+
+    def _per_user(self, field: str) -> np.ndarray:
+        """A code field (``"n"`` or ``"k"``) of each user, in user order."""
+        import numpy as np
+
+        values = np.array([getattr(code, field) for code, _ in self.groups], dtype=np.int64)
+        return np.repeat(values, [count for _, count in self.groups])
 
     @cached_property
     def thresholds(self) -> np.ndarray:
         """Clean bursts k_i each user needs, in user order (read-only)."""
-        import numpy as np
-
-        return _read_only(np.array([u.k for u in self.users], dtype=np.int64))
+        return _read_only(self._per_user("k"))
 
     @cached_property
     def user_of_burst(self) -> np.ndarray:
         """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
         import numpy as np
 
-        return _read_only(np.repeat(np.arange(self.n_users), [u.n for u in self.users]))
+        return _read_only(np.repeat(np.arange(self.n_users), self._per_user("n")))
 
     @cached_property
     def placement_groups(self) -> tuple[np.ndarray, ...]:
@@ -131,11 +154,10 @@ class SystemConfig(namedtuple("SystemConfig", "ns users seed")):
         """
         import numpy as np
 
-        burst_counts = np.array([u.n for u in self.users])
-        n_of_burst = burst_counts[self.user_of_burst]
+        n_of_burst = self._per_user("n")[self.user_of_burst]
         return tuple(
             _read_only(np.flatnonzero(n_of_burst == n).reshape(-1, n))
-            for n in np.unique(burst_counts).tolist()
+            for n in sorted({code.n for code, _ in self.groups})
         )
 
 

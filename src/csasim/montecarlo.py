@@ -203,14 +203,15 @@ def _apportion(weights: Sequence[int], total: int) -> list[int]:
     return counts
 
 
-def users_for_load(config: SystemConfig, g: float) -> tuple[UserCode, ...] | None:
-    """User population realizing load g with ``config``'s mix of user codes.
+def users_for_load(config: SystemConfig, g: float) -> tuple[tuple[UserCode, int], ...] | None:
+    """User groups realizing load g with ``config``'s mix of user codes.
 
     Each code of ``config.code_groups`` keeps its share of the users, weighted
-    by its user count. The user count is round(ns * g / mean k); returns None
-    when that count is below one, i.e. the load is not realizable at this
-    frame size, and raises ValueError when it is not finite or exceeds
-    ``sys.maxsize``.
+    by its user count, in ``(UserCode, count)`` pairs in that order, and a
+    code that gets no users is left out. The user count is round(ns * g /
+    mean k); returns None when that count is below one, i.e. the load is not
+    realizable at this frame size, and raises ValueError when it is not
+    finite or exceeds ``sys.maxsize``.
     """
     k_mean = config.total_payload / config.n_users
     exact = config.ns * g / k_mean
@@ -220,21 +221,18 @@ def users_for_load(config: SystemConfig, g: float) -> tuple[UserCode, ...] | Non
     if nu < 1:
         return None
     counts = _apportion([count for _, count in config.code_groups], nu)
-    users: list[UserCode] = []
-    for (code, _), count in zip(config.code_groups, counts):
-        users.extend([code] * count)
-    return tuple(users)
+    return tuple((code, count) for (code, _), count in zip(config.code_groups, counts) if count)
 
 
 def _realizable(config: SystemConfig, g_values: Sequence[float]) -> Iterator[SystemConfig]:
     """Configurations of the realizable loads, built one at a time; each
     unrealizable load is logged as a warning and skipped."""
     for g in g_values:
-        users = users_for_load(config, g)
-        if users is None:
+        groups = users_for_load(config, g)
+        if groups is None:
             logger.warning("skipping G=%g: load too small for one user", g)
             continue
-        yield config._replace(users=users)
+        yield config._replace(groups=groups)
 
 
 def sweep_load(

@@ -25,7 +25,12 @@ def set_usable_cpus(monkeypatch, count: int) -> None:
 
 def homogeneous(ns: int, n: int, k: int, count: int, seed: int = 0) -> SystemConfig:
     """``count`` users of one (n, k) code on ``ns`` slots."""
-    return SystemConfig(ns=ns, users=(UserCode(n, k),) * count, seed=seed)
+    return SystemConfig(ns=ns, groups=((UserCode(n, k), count),), seed=seed)
+
+
+def user_codes(config: SystemConfig) -> list[UserCode]:
+    """Each user's code, in user order: a group's code once per user of it."""
+    return [code for code, count in config.groups for _ in range(count)]
 
 
 def make_placement(ns: int, slots: list[list[int]]) -> FramePlacement:
@@ -42,7 +47,7 @@ def collided_share(slots: list[int]) -> float:
 
 def slots_by_user(config: SystemConfig, placement: FramePlacement) -> list[np.ndarray]:
     """Split a placement's flat burst array into one slot array per user."""
-    return np.split(placement.slot_of_burst, np.cumsum([u.n for u in config.users])[:-1])
+    return np.split(placement.slot_of_burst, np.cumsum([u.n for u in user_codes(config)])[:-1])
 
 
 def peel_oracle(
@@ -156,7 +161,7 @@ def exact_degree_law(config: SystemConfig) -> list[Fraction]:
     factor at a time, so no grouping of users is assumed.
     """
     law = [Fraction(1)]
-    for user in config.users:
+    for user in user_codes(config):
         pr = Fraction(user.n, config.ns)
         grown = [Fraction(0)] * (len(law) + 1)
         for d, mass in enumerate(law):
@@ -199,7 +204,7 @@ def random_instance(
         k = rng.randint(1, n)
         users.append(UserCode(n=n, k=k))
         slots.append(sorted(rng.sample(range(ns), n)))
-    return SystemConfig(ns=ns, users=tuple(users), seed=0), slots
+    return SystemConfig(ns=ns, groups=[(u, 1) for u in users], seed=0), slots
 
 
 def all_subsets(ns: int, n: int) -> list[tuple[int, ...]]:
@@ -213,7 +218,7 @@ def exact_frame_means(config: SystemConfig) -> tuple[Fraction, Fraction]:
     independent of the others, so every placement is equally likely. T is
     the sum of k over decoded users, divided by ns.
     """
-    users = list(config.users)
+    users = user_codes(config)
     placements = undecoded = payload = 0
     for slots in itertools.product(*(all_subsets(config.ns, u.n) for u in users)):
         decoded = peel_oracle(config.ns, users, list(slots))
@@ -232,7 +237,7 @@ def exact_round_moments(config: SystemConfig, num_rounds: int) -> tuple[np.ndarr
     share of the users after it. A placement whose peeling stops before a
     round contributes its fixpoint values there.
     """
-    users = list(config.users)
+    users = user_codes(config)
     values = []
     for slots in itertools.product(*(all_subsets(config.ns, u.n) for u in users)):
         rounds, undecoded, final_p = synchronous_rounds_oracle(config.ns, users, list(slots))

@@ -30,6 +30,7 @@ from helpers import (
     peel_oracle,
     random_instance,
     set_usable_cpus,
+    user_codes,
 )
 
 G_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
@@ -46,7 +47,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def sweep(n, k):
-    config = SystemConfig(ns=400, users=(UserCode(n, k),), seed=SEED)
+    config = SystemConfig(ns=400, groups=((UserCode(n, k), 1),), seed=SEED)
     return sweep_load(config, G_GRID, FRAMES, WORKERS)
 
 
@@ -92,8 +93,8 @@ def test_ac2_code_ordering(sweep_3_1, sweep_4_2, sweep_5_2):
 
 def test_ac3_operating_point_and_frame_size():
     def point(ns):
-        users = users_for_load(SystemConfig(ns=ns, users=(UserCode(4, 2),)), 0.63)
-        config = SystemConfig(ns=ns, users=users, seed=SEED)
+        groups = users_for_load(SystemConfig(ns=ns, groups=((UserCode(4, 2), 1),)), 0.63)
+        config = SystemConfig(ns=ns, groups=groups, seed=SEED)
         return run_trials(config, FRAMES, WORKERS)
 
     large = point(700)
@@ -111,7 +112,7 @@ def test_ac3_operating_point_and_frame_size():
 
 
 def test_ac4_analytic_recursion_agreement():
-    config = SystemConfig(ns=100, users=(UserCode(5, 2),) * 10, seed=SEED)
+    config = SystemConfig(ns=100, groups=((UserCode(5, 2), 10),), seed=SEED)
     trace = de_iterate(config)
     rounds = len(trace.states)
     p_mc, q_mc = empirical_round_curves(config, frames=100_000, num_rounds=rounds)
@@ -133,10 +134,10 @@ def test_ac4_analytic_recursion_agreement():
 
 
 def test_ac5_slotted_aloha_baseline():
-    users = users_for_load(SystemConfig(ns=1000, users=(UserCode(1, 1),)), 1.0)
-    config = SystemConfig(ns=1000, users=users, seed=SEED)
+    groups = users_for_load(SystemConfig(ns=1000, groups=((UserCode(1, 1), 1),)), 1.0)
+    config = SystemConfig(ns=1000, groups=groups, seed=SEED)
     agg = run_trials(config, FRAMES, WORKERS)
-    exact = 1.0 * (1 - 1 / 1000) ** (len(users) - 1)
+    exact = 1.0 * (1 - 1 / 1000) ** (config.n_users - 1)
     mc_ok = abs(agg.t_mean - exact) <= 3 * agg.t_ci95
 
     grid = [round(0.05 * i, 2) for i in range(1, 31)]
@@ -162,7 +163,7 @@ def test_ac6_property_suite(monkeypatch):
         config, slots = random_instance(rng)
         decoded = set(decode_frame(config, make_placement(config.ns, slots)).decoded_users)
         for perm in range(100):
-            if peel_oracle(config.ns, list(config.users), slots, rng=random.Random(perm)) != decoded:
+            if peel_oracle(config.ns, user_codes(config), slots, rng=random.Random(perm)) != decoded:
                 invariant = False
                 break
         if not invariant:
@@ -174,18 +175,18 @@ def test_ac6_property_suite(monkeypatch):
 
     equal = True
     for ns, codes in [(3, [(2, 1), (2, 2)]), (4, [(2, 1), (3, 2)]), (4, [(1, 1), (2, 2), (2, 1)])]:
-        config = SystemConfig(ns=ns, users=tuple(UserCode(*c) for c in codes))
+        config = SystemConfig(ns=ns, groups=[(UserCode(*c), 1) for c in codes])
         pools = [list(combinations(range(ns), c[0])) for c in codes]
         for choice in product(*pools):
             slots = [list(c) for c in choice]
             got = set(decode_frame(config, make_placement(ns, slots)).decoded_users)
-            if got != peel_oracle(ns, list(config.users), slots):
+            if got != peel_oracle(ns, user_codes(config), slots):
                 equal = False
     rng = random.Random(607)
     for _ in range(10_000):
         config, slots = random_instance(rng)
         got = set(decode_frame(config, make_placement(config.ns, slots)).decoded_users)
-        if got != peel_oracle(config.ns, list(config.users), slots):
+        if got != peel_oracle(config.ns, user_codes(config), slots):
             equal = False
             break
     checks.append(("brute-force oracle equivalence", equal))
@@ -199,7 +200,7 @@ def test_ac6_property_suite(monkeypatch):
         for _ in range(rng.randint(1, 8)):
             n = rng.randint(1, ns)
             users.append(UserCode(n, rng.randint(1, n)))
-        config = SystemConfig(ns=ns, users=tuple(users), seed=rng.randrange(2**32))
+        config = SystemConfig(ns=ns, groups=[(u, 1) for u in users], seed=rng.randrange(2**32))
         placement = place_frame(config, rng.randrange(1000))
         if int(placement.degree_of_slot.sum()) != config.total_bursts:
             conserved = False
@@ -217,7 +218,7 @@ def test_ac6_property_suite(monkeypatch):
         for _ in range(nu):
             n = rng.randint(1, ns)
             users.append(UserCode(n, rng.randint(1, n)))
-        trace = de_iterate(SystemConfig(ns=ns, users=tuple(users)))
+        trace = de_iterate(SystemConfig(ns=ns, groups=[(u, 1) for u in users]))
         for state in trace.states:
             if not (0 <= state.p <= 1 and 0 <= state.q <= 1 and 0 <= state.beta <= 1):
                 in_range = False
@@ -237,7 +238,7 @@ def test_ac6_property_suite(monkeypatch):
 
     # bitwise reproducibility across worker counts, split 4 ways on any host
     set_usable_cpus(monkeypatch, 4)
-    config = SystemConfig(ns=60, users=(UserCode(3, 1),) * 20, seed=SEED)
+    config = SystemConfig(ns=60, groups=((UserCode(3, 1), 20),), seed=SEED)
     serial = run_trials(config, 400, workers=1)
     repro = serial == run_trials(config, 400, workers=2) == run_trials(config, 400, workers=4)
     checks.append(("bitwise reproducibility across workers", repro))

@@ -26,6 +26,7 @@ from csasim import (
 from csasim import cli, csvio, density, montecarlo
 from csasim.cli import main, parse_g_spec
 from csasim.csvio import BASELINE_HEADER, DE_HEADER, SWEEP_HEADER, TRACE_HEADER
+from helpers import user_codes
 
 
 class TestParseConfig:
@@ -34,19 +35,20 @@ class TestParseConfig:
         assert config.ns == 400
         assert config.seed == 7
         assert config.n_users == 302
-        assert config.users[0] == UserCode(3, 1)
+        assert user_codes(config)[0] == UserCode(3, 1)
         assert config.total_payload / config.ns == pytest.approx(0.755)
 
     def test_round_curve_configuration(self):
         config = parse_config("users=10x(5,2)\nns=100\n")
         assert config.n_users == 10
-        assert all(u == UserCode(5, 2) for u in config.users)
+        assert all(u == UserCode(5, 2) for u in user_codes(config))
         assert config.seed == 0
 
     def test_mixed_population(self):
         config = parse_config("ns=10\nusers=2x(4,2) 3x(2,1)\n")
         assert config.n_users == 5
-        assert config.users == (UserCode(4, 2),) * 2 + (UserCode(2, 1),) * 3
+        assert user_codes(config) == [UserCode(4, 2)] * 2 + [UserCode(2, 1)] * 3
+        assert config.groups == ((UserCode(4, 2), 2), (UserCode(2, 1), 3))
 
     def test_comments_and_blank_lines(self):
         text = "# experiment\nns=8   # slots\n\nusers=1x(2,1)\n"
@@ -61,6 +63,8 @@ class TestParseConfig:
             ("ns=4\nusers=1x(5,1)", "exceeds frame size", 2),
             ("ns=4\nusers=", "user list is empty", 2),
             ("ns=4\nusers=1x(2,1) garbage", "malformed user group", 2),
+            ("ns=4\nusers=2x(\u0663,1)", "malformed user group", 2),  # an Arabic-Indic 3
+            ("ns=1_000\nusers=1x(2,1)", "non-numeric value for 'ns'", 1),
             ("ns=4\nns=5\nusers=1x(2,1)", "duplicate key", 2),
             ("ns=4\nseed=x\nusers=1x(2,1)", "non-numeric value for 'seed'", 2),
             ("ns=4\nseed=-1\nusers=1x(2,1)", "seed must be", 2),
@@ -89,7 +93,7 @@ class TestRenderRoundTrip:
     def test_run_length_encoding_preserves_order(self):
         config = SystemConfig(
             ns=9,
-            users=(UserCode(3, 1), UserCode(2, 1), UserCode(2, 1), UserCode(3, 1)),
+            groups=((UserCode(3, 1), 1), (UserCode(2, 1), 2), (UserCode(3, 1), 1)),
             seed=4,
         )
         text = render_config(config)
@@ -100,12 +104,12 @@ class TestRenderRoundTrip:
         rng = random.Random(2024)
         for _ in range(1000):
             ns = rng.randint(1, 30)
-            users = []
+            groups = []
             for _ in range(rng.randint(1, 8)):
                 n = rng.randint(1, ns)
-                users.append(UserCode(n, rng.randint(1, n)))
+                groups.append((UserCode(n, rng.randint(1, n)), rng.randint(1, 3)))
             config = SystemConfig(
-                ns=ns, users=tuple(users), seed=rng.randrange(2**64)
+                ns=ns, groups=groups, seed=rng.randrange(2**64)
             )
             assert parse_config(render_config(config)) == config
 
@@ -136,6 +140,8 @@ def config_file(tmp_path):
 
 SIMULATE_ONE = ["simulate", "--frames", "1"]
 TRACE_ONE = ["trace", "--frame-index", "0"]
+# two groups of this many users hold more than sys.maxsize users together
+HALF_MAX = 5 * 10**18
 
 
 class TestCommandLine:
@@ -285,8 +291,13 @@ class TestCommandLine:
             (f"ns={10**30}\nusers=1x(3,1)", SIMULATE_ONE, "error: line 1: ns must be <="),
             (f"ns={10**30}\nusers=1x(3,1)", TRACE_ONE, "error: line 1: ns must be <="),
             (f"ns={10**30}\nusers=1x(3,1)", ["de"], "error: line 1: ns must be <="),
+            (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", ["de"], "error: line 2: "),
+            (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", SIMULATE_ONE, "error: line 2: "),
         ],
-        ids=["count-de", "n-simulate", "n-trace", "ns-simulate", "ns-trace", "ns-de"],
+        ids=[
+            "count-de", "n-simulate", "n-trace", "ns-simulate", "ns-trace", "ns-de",
+            "total-de", "total-simulate",
+        ],
     )
     def test_oversized_integer_in_config_exits_1_with_one_line(
         self, tmp_path, capsys, text, command, diagnostic

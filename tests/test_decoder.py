@@ -18,11 +18,12 @@ from helpers import (
     random_instance,
     replica_sic_oracle,
     synchronous_rounds_oracle,
+    user_codes,
 )
 
 
 def config_for(ns, codes, seed=0):
-    return SystemConfig(ns=ns, users=tuple(UserCode(*c) for c in codes), seed=seed)
+    return SystemConfig(ns=ns, groups=[(UserCode(*c), 1) for c in codes], seed=seed)
 
 
 class TestDecodeFrame:
@@ -84,7 +85,7 @@ class TestDecodeFrame:
             config, slots = random_instance(rng)
             placement = make_placement(config.ns, slots)
             trace = decode_frame(config, placement)
-            expected = peel_oracle(config.ns, list(config.users), slots)
+            expected = peel_oracle(config.ns, user_codes(config), slots)
             assert set(trace.decoded_users) == expected
 
     def test_rounds_match_synchronous_oracle(self):
@@ -95,7 +96,7 @@ class TestDecodeFrame:
             config, slots = random_instance(rng, **sizes)
             placement = make_placement(config.ns, slots)
             rounds, undecoded, final_p = synchronous_rounds_oracle(
-                config.ns, list(config.users), slots
+                config.ns, user_codes(config), slots
             )
             mask, _, _, n_rounds = _peel(config, placement)
             assert n_rounds == len(rounds)
@@ -106,8 +107,8 @@ class TestDecodeFrame:
                 (set(r.newly_decoded), r.p_empirical, r.q_empirical)
                 for r in trace.rounds
             ] == rounds
-            seen["k > 1"] += any(u.k > 1 for u in config.users)
-            seen["n > ns/2"] += any(2 * u.n > config.ns for u in config.users)
+            seen["k > 1"] += any(u.k > 1 for u in user_codes(config))
+            seen["n > ns/2"] += any(2 * u.n > config.ns for u in user_codes(config))
             seen["ns = 1"] += config.ns == 1
             seen["3+ rounds"] += n_rounds >= 3
         assert min(seen.values()) >= 100, seen
@@ -126,7 +127,7 @@ class TestDecodeFrame:
             for choice in product(*pools):
                 slots = [list(c) for c in choice]
                 trace = decode_frame(config, make_placement(ns, slots))
-                expected = peel_oracle(ns, list(config.users), slots)
+                expected = peel_oracle(ns, user_codes(config), slots)
                 assert set(trace.decoded_users) == expected
 
     def test_order_invariance_smoke(self):
@@ -136,7 +137,7 @@ class TestDecodeFrame:
             trace = decode_frame(config, make_placement(config.ns, slots))
             for perm in range(20):
                 oracle = peel_oracle(
-                    config.ns, list(config.users), slots, rng=random.Random(perm)
+                    config.ns, user_codes(config), slots, rng=random.Random(perm)
                 )
                 assert set(trace.decoded_users) == oracle
 
@@ -145,8 +146,8 @@ class TestDecodeFrame:
         rng = random.Random(7)
         for _ in range(2000):
             config, slots = random_instance(rng)
-            users = tuple(UserCode(u.n, 1) for u in config.users)
-            config = SystemConfig(ns=config.ns, users=users, seed=0)
+            groups = [(UserCode(code.n, 1), count) for code, count in config.groups]
+            config = SystemConfig(ns=config.ns, groups=groups, seed=0)
             trace = decode_frame(config, make_placement(config.ns, slots))
             assert set(trace.decoded_users) == replica_sic_oracle(config.ns, slots)
 
@@ -174,10 +175,11 @@ class TestDecodeFrame:
             config, slots = random_instance(rng, max_users=5, max_ns=8, max_n=4)
             placement = make_placement(config.ns, slots)
             trace = decode_frame(config, placement)
-            removed = sum(config.users[i].n for i in trace.decoded_users)
+            users = user_codes(config)
+            removed = sum(users[i].n for i in trace.decoded_users)
             # residual degree mass is the bursts of undecoded users
             assert int(placement.degree_of_slot.sum()) - removed == sum(
-                config.users[i].n
+                users[i].n
                 for i in range(config.n_users)
                 if i not in trace.decoded_users
             )

@@ -99,7 +99,7 @@ class TestInitialErasureProbability:
         "ns, codes", [(3, [(2, 1), (1, 1), (1, 1)]), (4, [(2, 1), (3, 2), (1, 1)])]
     )
     def test_is_mean_of_empirical_p0_over_all_placements(self, ns, codes):
-        config = SystemConfig(ns=ns, users=tuple(UserCode(*c) for c in codes))
+        config = SystemConfig(ns=ns, groups=[(UserCode(*c), 1) for c in codes])
         pools = [list(combinations(range(ns), n)) for n, _ in codes]
         values = [
             collided_share([s for c in choice for s in c])
@@ -118,7 +118,7 @@ class TestInitialErasureProbability:
     @settings(max_examples=200, deadline=None)
     def test_matches_closed_form_collided_mass(self, frame):
         ns, lengths = frame
-        config = SystemConfig(ns=ns, users=tuple(UserCode(n, 1) for n in lengths))
+        config = SystemConfig(ns=ns, groups=[(UserCode(n, 1), 1) for n in lengths])
         want = _collided_mass(config, 1.0) * ns / config.total_bursts
         assert initial_erasure_probability(config) == pytest.approx(want, abs=1e-12)
 
@@ -147,8 +147,7 @@ class TestCollidedMass:
     @settings(max_examples=300, deadline=None)
     def test_matches_thinned_poisson_binomial(self, frame, survival):
         ns, groups = frame
-        users = [UserCode(n, 1) for n, count in groups for _ in range(count)]
-        config = SystemConfig(ns=ns, users=tuple(users))
+        config = SystemConfig(ns=ns, groups=[(UserCode(n, 1), count) for n, count in groups])
         want = collided_mass_by_thinning(config, survival)
         assert _collided_mass(config, survival) == pytest.approx(want, rel=0, abs=1e-12)
 
@@ -210,7 +209,7 @@ class TestDeIterate:
             for _ in range(nu):
                 n = rng.randint(1, ns)
                 users.append(UserCode(n, rng.randint(1, n)))
-            trace = de_iterate(SystemConfig(ns=ns, users=tuple(users)))
+            trace = de_iterate(SystemConfig(ns=ns, groups=[(u, 1) for u in users]))
             assert 1 <= len(trace.states) <= nu
             qs = [s.q for s in trace.states]
             for state in trace.states:
@@ -222,9 +221,9 @@ class TestDeIterate:
     @fuzzed_mixtures
     def test_fuzzed_mixtures_in_range_and_q_monotone(self, frame):
         ns, groups = frame
-        users = tuple(UserCode(n, k) for (n, k), count in groups for _ in range(count))
-        trace = de_iterate(SystemConfig(ns=ns, users=users))
-        assert 1 <= len(trace.states) <= len(users)
+        config = SystemConfig(ns=ns, groups=[(UserCode(n, k), count) for (n, k), count in groups])
+        trace = de_iterate(config)
+        assert 1 <= len(trace.states) <= config.n_users
         for state in trace.states:
             assert 0.0 <= state.p <= 1.0
             assert 0.0 <= state.q <= 1.0
@@ -235,18 +234,17 @@ class TestDeIterate:
     @fuzzed_mixtures
     def test_q_is_population_average_non_decode_probability(self, frame):
         ns, groups = frame
-        users = tuple(UserCode(n, k) for (n, k), count in groups for _ in range(count))
-        config = SystemConfig(ns=ns, users=users)
+        config = SystemConfig(ns=ns, groups=[(UserCode(n, k), count) for (n, k), count in groups])
         for state in de_iterate(config).states:
             decoded = sum(
                 count * decode_probability(code, state.p)
                 for code, count in config.code_groups
             )
-            assert state.q == pytest.approx(1.0 - decoded / len(users), rel=0, abs=1e-12)
+            assert state.q == pytest.approx(1.0 - decoded / config.n_users, rel=0, abs=1e-12)
 
     def test_large_population_law_and_recursion(self):
         # 100,000 users: one binomial law, where a DP over users takes over a minute
-        config = SystemConfig(ns=133_334, users=(UserCode(3, 1),) * 100_000)
+        config = SystemConfig(ns=133_334, groups=((UserCode(3, 1), 100_000),))
         hist = expected_initial_histogram(config)
         assert len(hist) == 100_001
         assert math.fsum(hist) == pytest.approx(1.0, rel=0, abs=1e-12)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from csasim import (
     UserCode,
     expected_initial_histogram,
     initial_erasure_probability,
+    parse_config,
     place_frame,
+    render_config,
 )
-from helpers import exact_degree_law, slots_by_user
+from helpers import exact_degree_law, slots_by_user, user_codes
 
 # absolute bound on each law entry and on P_0 against the exact rationals;
 # float64 laws of up to ~60 users sit a few ulps from them
@@ -27,11 +30,11 @@ LAW_TOLERANCE = 1e-13
 def code_mixtures(draw):
     """Up to 4 code groups of up to 15 users each on a frame of up to 40 slots."""
     ns = draw(st.integers(1, 40))
-    users = []
+    groups = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, ns))
-        users += [UserCode(n, draw(st.integers(1, n)))] * draw(st.integers(1, 15))
-    return SystemConfig(ns=ns, users=tuple(users))
+        groups.append((UserCode(n, draw(st.integers(1, n))), draw(st.integers(1, 15))))
+    return SystemConfig(ns=ns, groups=groups)
 
 
 @st.composite
@@ -44,7 +47,7 @@ def small_configs(draw):
         k = draw(st.integers(1, n))
         users.append(UserCode(n=n, k=k))
     seed = draw(st.integers(0, 2**32))
-    return SystemConfig(ns=ns, users=tuple(users), seed=seed)
+    return SystemConfig(ns=ns, groups=[(u, 1) for u in users], seed=seed)
 
 
 class TestValidation:
@@ -63,62 +66,75 @@ class TestValidation:
 
     def test_rejects_n_exceeding_frame(self):
         with pytest.raises(ValueError, match="exceeds frame size"):
-            SystemConfig(ns=4, users=(UserCode(5, 1),))
+            SystemConfig(ns=4, groups=((UserCode(5, 1), 1),))
         # the first too-long code is named, after valid users and before a later one
-        users = (UserCode(2, 1), UserCode(4, 1), UserCode(6, 2), UserCode(2, 1), UserCode(5, 1))
+        groups = [(UserCode(*c), 1) for c in [(2, 1), (4, 1), (6, 2), (2, 1), (5, 1)]]
         with pytest.raises(ValueError, match="n=6 exceeds frame size ns=4"):
-            SystemConfig(ns=4, users=users)
+            SystemConfig(ns=4, groups=groups)
 
     def test_config_replace_is_checked(self):
-        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3, seed=1)
-        assert config._replace(seed=2) == SystemConfig(5, config.users, 2)
+        config = SystemConfig(ns=5, groups=((UserCode(2, 1), 3),), seed=1)
+        assert config._replace(seed=2) == SystemConfig(5, config.groups, 2)
         with pytest.raises(ValueError, match="frame size ns must be >= 1"):
             config._replace(ns=0)
         with pytest.raises(ValueError, match="n=9 exceeds frame size ns=5"):
-            config._replace(users=(UserCode(9, 1),))
+            config._replace(groups=((UserCode(9, 1), 1),))
 
     def test_rejects_nonpositive_frame(self):
         for ns in (0, -1):
             with pytest.raises(ValueError, match="frame size ns must be >= 1"):
-                SystemConfig(ns=ns, users=(UserCode(1, 1),))
+                SystemConfig(ns=ns, groups=((UserCode(1, 1), 1),))
 
     def test_rejects_frame_above_maxsize(self):
         with pytest.raises(ValueError, match="frame size ns must be <="):
-            SystemConfig(ns=sys.maxsize + 1, users=(UserCode(1, 1),))
+            SystemConfig(ns=sys.maxsize + 1, groups=((UserCode(1, 1), 1),))
+
+    def test_rejects_bad_group_counts(self):
+        with pytest.raises(ValueError, match="user group count must be >= 1, got 0"):
+            SystemConfig(4, [(UserCode(1, 1), 2), (UserCode(2, 1), 0)])
+        half = sys.maxsize // 2 + 1
+        with pytest.raises(ValueError, match="user group count must be <="):
+            SystemConfig(sys.maxsize, [(UserCode(1, 1), half), (UserCode(1, 1), half)])
 
     def test_rejects_empty_users(self):
         with pytest.raises(ValueError, match="empty"):
-            SystemConfig(ns=4, users=())
+            SystemConfig(ns=4, groups=())
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
-            SystemConfig(ns=4, users=(UserCode(1, 1),), seed=-1)
+            SystemConfig(ns=4, groups=((UserCode(1, 1), 1),), seed=-1)
         with pytest.raises(ValueError, match="seed"):
-            SystemConfig(ns=4, users=(UserCode(1, 1),), seed=2**64)
+            SystemConfig(ns=4, groups=((UserCode(1, 1), 1),), seed=2**64)
 
 
 class TestCodeGroups:
     def test_first_occurrence_order_and_counts(self):
         a, b, c = UserCode(3, 1), UserCode(2, 1), UserCode(3, 2)
-        config = SystemConfig(ns=5, users=(b, a, b, c, a, b))
+        config = SystemConfig(ns=5, groups=((b, 1), (a, 1), (b, 1), (c, 1), (a, 1), (b, 1)))
         assert config.code_groups == ((b, 3), (a, 2), (c, 1))
 
     def test_cached_and_not_part_of_identity(self):
-        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        config = SystemConfig(ns=5, groups=((UserCode(2, 1), 3),))
+        assert SystemConfig._fields == ("ns", "groups", "seed") and not hasattr(config, "users")
         assert config.code_groups is config.code_groups
-        assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        assert config == SystemConfig(ns=5, groups=((UserCode(2, 1), 3),))
         assert config._replace(seed=2).code_groups == ((UserCode(2, 1), 3),)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_fields_are_read_only(self):
-        config = SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        config = SystemConfig(ns=5, groups=((UserCode(2, 1), 3),))
         placement = place_frame(config, 0)
         for record, name in [
             (UserCode(2, 1), "n"),
             (UserCode(2, 1), "k"),
             (config, "ns"),
-            (config, "users"),
+            (config, "groups"),
             (config, "seed"),
+            # derived values, each cached by the read before the write
+            (config, "code_groups"),
+            (config, "n_users"),
+            (config, "total_bursts"),
+            (config, "thresholds"),
             (placement, "ns"),
             (placement, "slot_of_burst"),
             (placement, "degree_of_slot"),
@@ -127,12 +143,15 @@ class TestCodeGroups:
                 setattr(record, name, getattr(record, name))
             with pytest.raises(AttributeError):
                 delattr(record, name)
-        assert config == SystemConfig(ns=5, users=(UserCode(2, 1),) * 3)
+        with pytest.raises(AttributeError):
+            config.code_groups = ((UserCode(5, 1), 9),)
+        assert config.total_bursts == 6
+        assert config == SystemConfig(ns=5, groups=((UserCode(2, 1), 3),))
         copy = pickle.loads(pickle.dumps(placement))
         assert copy.ns == 5 and copy.degree_of_slot.tolist() == placement.degree_of_slot.tolist()
 
     def test_pickle_carries_no_cached_array(self):
-        config = SystemConfig(ns=6, users=(UserCode(3, 1), UserCode(2, 2)), seed=4)
+        config = SystemConfig(ns=6, groups=((UserCode(3, 1), 1), (UserCode(2, 2), 1)), seed=4)
         assert config.thresholds.tolist() == [1, 2]
         assert config.user_of_burst.tolist() == [0, 0, 0, 1, 1]
         data = pickle.dumps(config)
@@ -143,9 +162,48 @@ class TestCodeGroups:
         assert copy.user_of_burst.tolist() == [0, 0, 0, 1, 1]
 
 
+@st.composite
+def group_lists(draw):
+    """Up to 6 groups of up to 4 users on a frame of up to 6 slots, their codes
+    drawn from 3, so that a code often repeats, next to itself or not."""
+    ns = draw(st.integers(1, 6))
+    codes = []
+    for _ in range(3):
+        n = draw(st.integers(1, ns))
+        codes.append(UserCode(n, draw(st.integers(1, n))))
+    group = st.tuples(st.sampled_from(codes), st.integers(1, 4))
+    groups = draw(st.lists(group, min_size=1, max_size=6))
+    return SystemConfig(ns, groups, draw(st.integers(0, 2**64 - 1)))
+
+
+class TestDerivedValues:
+    """What a config derives from its groups equals what its users give,
+    one code per user in user order, and its text reads back equal."""
+
+    @given(group_lists())
+    @example(SystemConfig(4, [(UserCode(2, 1), 1), (UserCode(2, 1), 2), (UserCode(3, 2), 1)]))
+    @example(SystemConfig(4, [(UserCode(2, 1), 2), (UserCode(3, 2), 1), (UserCode(2, 1), 1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_per_user_list(self, config):
+        users = user_codes(config)
+        assert config.n_users == len(users)
+        assert config.code_groups == tuple(Counter(users).items())
+        assert config.total_bursts == sum(u.n for u in users)
+        assert config.total_payload == sum(u.k for u in users)
+        assert config.thresholds.tolist() == [u.k for u in users]
+        owners = [i for i, u in enumerate(users) for _ in range(u.n)]
+        assert config.user_of_burst.tolist() == owners
+        first = [owners.index(i) for i in range(len(users))]
+        assert [g.tolist() for g in config.placement_groups] == [
+            [list(range(first[i], first[i] + n)) for i, u in enumerate(users) if u.n == n]
+            for n in sorted({u.n for u in users})
+        ]
+        assert parse_config(render_config(config)) == config
+
+
 class TestBurstArrays:
     def test_cached_read_only_and_aligned(self):
-        config = SystemConfig(ns=6, users=(UserCode(3, 1), UserCode(1, 1), UserCode(2, 2)))
+        config = SystemConfig(ns=6, groups=[(UserCode(*c), 1) for c in [(3, 1), (1, 1), (2, 2)]])
         assert config.thresholds.tolist() == [1, 1, 2]
         assert config.user_of_burst.tolist() == [0, 0, 0, 1, 2, 2]
         for name in ("thresholds", "user_of_burst"):
@@ -193,13 +251,13 @@ class TestFramePlacement:
 
 class TestPlaceFrame:
     def test_single_user_filling_frame(self):
-        config = SystemConfig(ns=4, users=(UserCode(4, 1),), seed=3)
+        config = SystemConfig(ns=4, groups=((UserCode(4, 1), 1),), seed=3)
         placement = place_frame(config, 0)
         assert slots_by_user(config, placement)[0].tolist() == [0, 1, 2, 3]
         assert placement.degree_of_slot.tolist() == [1, 1, 1, 1]
 
     def test_forced_two_user_overlap(self):
-        config = SystemConfig(ns=2, users=(UserCode(2, 2), UserCode(2, 2)), seed=5)
+        config = SystemConfig(ns=2, groups=((UserCode(2, 2), 2),), seed=5)
         placement = place_frame(config, 0)
         for slots in slots_by_user(config, placement):
             assert slots.tolist() == [0, 1]
@@ -208,7 +266,7 @@ class TestPlaceFrame:
     def test_degree_two_fraction_matches_enumeration(self):
         # two (1,1) users on two slots: of the 4 equiprobable placements,
         # two give a degree-2 slot, so E[fraction of degree-2 slots] = 1/4
-        config = SystemConfig(ns=2, users=(UserCode(1, 1), UserCode(1, 1)), seed=11)
+        config = SystemConfig(ns=2, groups=((UserCode(1, 1), 2),), seed=11)
         frames = 20000
         fractions = np.empty(frames)
         for j in range(frames):
@@ -218,7 +276,7 @@ class TestPlaceFrame:
         assert abs(fractions.mean() - 0.25) <= 3 * se
 
     def test_deterministic_per_frame_index(self):
-        config = SystemConfig(ns=20, users=(UserCode(3, 1),) * 5, seed=42)
+        config = SystemConfig(ns=20, groups=((UserCode(3, 1), 5),), seed=42)
         a = place_frame(config, 7)
         b = place_frame(config, 7)
         for x, y in zip(slots_by_user(config, a), slots_by_user(config, b)):
@@ -230,7 +288,7 @@ class TestPlaceFrame:
         )
 
     def test_slot_usage_uniform_across_frames_chi_square(self):
-        config = SystemConfig(ns=20, users=(UserCode(1, 1),), seed=9)
+        config = SystemConfig(ns=20, groups=((UserCode(1, 1), 1),), seed=9)
         frames = 10_000
         counts = np.zeros(20)
         for j in range(frames):
@@ -239,7 +297,7 @@ class TestPlaceFrame:
         assert result.pvalue > 0.001
 
     def test_single_user_slot_frequency(self):
-        config = SystemConfig(ns=10, users=(UserCode(3, 2),), seed=13)
+        config = SystemConfig(ns=10, groups=((UserCode(3, 2), 1),), seed=13)
         frames = 100_000
         counts = np.zeros(10)
         for j in range(frames):
@@ -253,7 +311,7 @@ class TestPlaceFrame:
     def test_burst_conservation_and_distinctness(self, config, frame_index):
         placement = place_frame(config, frame_index)
         assert int(placement.degree_of_slot.sum()) == config.total_bursts
-        for user, slots in zip(config.users, slots_by_user(config, placement)):
+        for user, slots in zip(user_codes(config), slots_by_user(config, placement)):
             assert slots.size == user.n
             assert np.unique(slots).size == user.n
             assert slots.min() >= 0 and slots.max() < config.ns
@@ -274,11 +332,11 @@ def nonzero(law):
 
 class TestDegreeHistogram:
     def test_forced_placement(self):
-        config = SystemConfig(ns=2, users=(UserCode(2, 2), UserCode(2, 2)), seed=5)
+        config = SystemConfig(ns=2, groups=((UserCode(2, 2), 2),), seed=5)
         assert nonzero(degree_law(place_frame(config, 0))) == {2: 1.0}
 
     def test_single_user_full_frame(self):
-        config = SystemConfig(ns=4, users=(UserCode(4, 1),), seed=3)
+        config = SystemConfig(ns=4, groups=((UserCode(4, 1), 1),), seed=3)
         assert nonzero(degree_law(place_frame(config, 0))) == {1: 1.0}
 
     @given(small_configs(), st.integers(0, 20))
@@ -292,14 +350,14 @@ class TestDegreeHistogram:
 
 class TestExpectedInitialHistogram:
     def test_two_singleton_users_is_binomial(self):
-        config = SystemConfig(ns=2, users=(UserCode(1, 1), UserCode(1, 1)))
+        config = SystemConfig(ns=2, groups=((UserCode(1, 1), 2),))
         hist = expected_initial_histogram(config)
         assert hist[0] == pytest.approx(0.25, abs=1e-15)
         assert hist[1] == pytest.approx(0.5, abs=1e-15)
         assert hist[2] == pytest.approx(0.25, abs=1e-15)
 
     def test_single_user_two_point(self):
-        config = SystemConfig(ns=10, users=(UserCode(3, 1),))
+        config = SystemConfig(ns=10, groups=((UserCode(3, 1), 1),))
         hist = expected_initial_histogram(config)
         assert hist[0] == pytest.approx(0.7, abs=1e-15)
         assert hist[1] == pytest.approx(0.3, abs=1e-15)
@@ -313,11 +371,11 @@ class TestExpectedInitialHistogram:
         assert math.fsum(hist) == pytest.approx(1.0, abs=1e-12)
 
     @given(code_mixtures())
-    @example(SystemConfig(ns=1, users=(UserCode(1, 1),)))
-    @example(SystemConfig(ns=1, users=(UserCode(1, 1),) * 7))
-    @example(SystemConfig(ns=9, users=(UserCode(4, 3),)))
-    @example(SystemConfig(ns=5, users=(UserCode(5, 2),) * 3 + (UserCode(2, 1),) * 20))
-    @example(SystemConfig(ns=4, users=(UserCode(2, 1),) * 100))  # tails cut below 1e-19 of the mode
+    @example(SystemConfig(ns=1, groups=((UserCode(1, 1), 1),)))
+    @example(SystemConfig(ns=1, groups=((UserCode(1, 1), 7),)))
+    @example(SystemConfig(ns=9, groups=((UserCode(4, 3), 1),)))
+    @example(SystemConfig(ns=5, groups=((UserCode(5, 2), 3), (UserCode(2, 1), 20))))
+    @example(SystemConfig(ns=4, groups=((UserCode(2, 1), 100),)))  # tails cut below 1e-19 of the mode
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_rational_law(self, config):
         hist = expected_initial_histogram(config)
@@ -331,7 +389,7 @@ class TestExpectedInitialHistogram:
     def test_matches_empirical_average(self):
         config = SystemConfig(
             ns=6,
-            users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)),
+            groups=((UserCode(2, 1), 1), (UserCode(3, 2), 1), (UserCode(1, 1), 1)),
             seed=21,
         )
         expected = expected_initial_histogram(config)

@@ -33,12 +33,13 @@ from helpers import (
     make_placement,
     random_instance,
     set_usable_cpus,
+    user_codes,
 )
 
 
 def two_to_three(ns, seed=0):
     """(4,2) and (2,1) users in a 2:3 ratio."""
-    return SystemConfig(ns=ns, users=(UserCode(4, 2),) * 2 + (UserCode(2, 1),) * 3, seed=seed)
+    return SystemConfig(ns=ns, groups=((UserCode(4, 2), 2), (UserCode(2, 1), 3)), seed=seed)
 
 
 # the record a sweep logs for a requested load of 0.01 that no user realizes
@@ -107,7 +108,7 @@ class TestNormalizedLoad:
         assert normalized_load(homogeneous(400, 3, 1, 302)) == pytest.approx(0.755)
 
     def test_heterogeneous(self):
-        config = SystemConfig(ns=10, users=(UserCode(2, 1), UserCode(4, 2)))
+        config = SystemConfig(ns=10, groups=((UserCode(2, 1), 1), (UserCode(4, 2), 1)))
         assert normalized_load(config) == pytest.approx(0.3)
 
 
@@ -143,9 +144,9 @@ class TestSimulateRange:
         "config",
         [
             # the mc-sweep benchmark mix at g=0.8, where many frames deadlock
-            SystemConfig(ns=400, users=users_for_load(two_to_three(400), 0.8), seed=1),
+            SystemConfig(ns=400, groups=users_for_load(two_to_three(400), 0.8), seed=1),
             # dense: every n above ns/2
-            SystemConfig(ns=9, users=(UserCode(5, 1), UserCode(6, 2), UserCode(7, 1)), seed=3),
+            SystemConfig(ns=9, groups=[(UserCode(*c), 1) for c in [(5, 1), (6, 2), (7, 1)]], seed=3),
         ],
         ids=["sweep-mix-g0.8", "dense"],
     )
@@ -155,7 +156,7 @@ class TestSimulateRange:
         assert counts.dtype == np.int64 and counts.shape == (3, stop - start)
         for j, column in enumerate(counts.T.tolist()):
             undecoded, _, _, n_rounds = _peel(config, place_frame(config, start + j))
-            lost = [user for user, missed in zip(config.users, undecoded.tolist()) if missed]
+            lost = [user for user, missed in zip(user_codes(config), undecoded.tolist()) if missed]
             assert column == [n_rounds, len(lost), sum(user.k for user in lost)]
         assert counts[1].any()  # deadlocked frames are covered
 
@@ -251,7 +252,7 @@ class TestRunTrials:
     [
         homogeneous(6, 2, 1, 3, seed=1),  # 15**3 = 3,375 placements
         # 10 * 10 * 5 = 500 placements
-        SystemConfig(ns=5, users=(UserCode(2, 1), UserCode(3, 2), UserCode(1, 1)), seed=1),
+        SystemConfig(ns=5, groups=[(UserCode(*c), 1) for c in [(2, 1), (3, 2), (1, 1)]], seed=1),
     ],
     ids=["ns6-3x(2,1)", "ns5-mixed"],
 )
@@ -286,13 +287,11 @@ class TestApportion:
         assert _apportion([5.0], 3) == [3]
 
     def test_users_for_load(self):
-        users = users_for_load(homogeneous(400, 3, 1, 1), 0.755)
-        assert len(users) == 302
+        assert users_for_load(homogeneous(400, 3, 1, 1), 0.755) == ((UserCode(3, 1), 302),)
         mixed = users_for_load(two_to_three(100), 0.5)
         # mean k = (2*2 + 1*3) / 5 = 1.4 so 36 users, split 14 / 22 by weight
-        assert len(mixed) == 36
-        assert mixed.count(UserCode(4, 2)) == 14
-        assert mixed.count(UserCode(2, 1)) == 22
+        assert sum(count for _, count in mixed) == 36
+        assert mixed == ((UserCode(4, 2), 14), (UserCode(2, 1), 22))
 
     def test_unrealizable_load_is_none(self):
         assert users_for_load(homogeneous(10, 4, 2, 1), 0.05) is None
@@ -305,13 +304,13 @@ class TestSweepLoad:
         assert caplog.record_tuples == [SKIP_WARNING]
         point = result.points[0]
         assert point.g == pytest.approx(
-            sum(u.k for u in users_for_load(homogeneous(20, 4, 2, 1), 0.5)) / 20
+            sum(code.k * count for code, count in users_for_load(homogeneous(20, 4, 2, 1), 0.5)) / 20
         )
 
     def test_code_without_users_still_labels_its_column(self, tmp_path):
         # g=0.05 gives two_to_three(40) one user, of code (2,1)
         config = two_to_three(40)
-        assert UserCode(4, 2) not in users_for_load(config, 0.05)
+        assert users_for_load(config, 0.05) == ((UserCode(2, 1), 1),)
         out = tmp_path / "sweep.csv"
         emit_csv(sweep_load(config, [0.05], frames=5), out)
         header, row = (line.split(",") for line in out.read_text().splitlines())
