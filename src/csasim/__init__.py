@@ -17,8 +17,10 @@ _EXPORTS = {
     "csvio": ("emit_csv",),
     "decoder": ("DecodeTrace", "RoundRecord", "decode_frame", "empirical_round_curves"),
     "density": (
+        "BaselineCurve",
         "DEState",
         "DETrace",
+        "aloha_baseline",
         "de_iterate",
         "decode_probability",
         "initial_erasure_probability",
@@ -32,10 +34,8 @@ _EXPORTS = {
         "place_frame",
     ),
     "montecarlo": (
-        "BaselineCurve",
         "SweepResult",
         "TrialAggregate",
-        "aloha_baseline",
         "normalized_load",
         "run_trials",
         "sweep_load",

@@ -31,8 +31,8 @@ from .model import InternalError
 
 if TYPE_CHECKING:
     from .decoder import DecodeTrace
-    from .density import DETrace
-    from .montecarlo import BaselineCurve, SweepResult
+    from .density import BaselineCurve, DETrace
+    from .montecarlo import SweepResult
 
 
 # largest START:STOP:STEP grid, checked before any of its points is built
@@ -74,7 +74,7 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
     only another command runs.
     """
     if args.command == "baseline":
-        from .montecarlo import BaselineCurve, aloha_baseline
+        from .density import BaselineCurve, aloha_baseline
 
         curve = tuple((g, aloha_baseline(g, args.variant)) for g in args.g)
         return BaselineCurve(args.variant, curve)

@@ -24,8 +24,8 @@ from typing import IO, TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .decoder import DecodeTrace
-    from .density import DETrace
-    from .montecarlo import BaselineCurve, SweepResult
+    from .density import BaselineCurve, DETrace
+    from .montecarlo import SweepResult
 
 SWEEP_HEADER = ["g", "ns", "n", "k", "frames", "throughput", "plr", "t_ci95", "plr_ci95", "seed"]
 DE_HEADER = ["l", "p", "q", "beta"]
@@ -83,7 +83,7 @@ def _rows(result: SweepResult | DETrace | DecodeTrace | BaselineCurve) -> tuple[
             for l, record in enumerate(result.rounds)
         ]
         return TRACE_HEADER, rows
-    if _is(result, "montecarlo", "BaselineCurve"):
+    if _is(result, "density", "BaselineCurve"):
         rows = [[_fmt(g), _fmt(t), result.variant] for g, t in result.points]
         return BASELINE_HEADER, rows
     raise TypeError(f"cannot serialize {type(result).__name__}")

@@ -1,4 +1,4 @@
-"""Analytic per-round recursion for erasure and non-decode probabilities.
+"""Analytic predictions: the per-round decoder recursion and the Aloha curve.
 
 The decoder behaves like iterative erasure decoding on a bipartite graph
 (slots as message nodes, users as check nodes), so its mean behaviour can be
@@ -33,8 +33,8 @@ factor undershoots the actual remaining population.
 
 Each binomial tail takes log C(n, i) from an exact log-factorial table that
 a process builds once per distinct n. The module computes in Python floats
-with ``math``, every sum an exactly rounded ``math.fsum``, so ``de`` loads
-no NumPy.
+with ``math``, every sum an exactly rounded ``math.fsum``, so neither ``de``
+nor ``baseline`` loads NumPy.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from .model import InternalError, SystemConfig, UserCode, expected_initial_histogram
 
@@ -60,6 +60,13 @@ class DEState(namedtuple("DEState", "p q beta")):
 class DETrace(namedtuple("DETrace", "states")):
     """Full recursion history, a tuple of ``DEState``; the q of the last
     state is the predicted PLR."""
+
+    __slots__ = ()
+
+
+class BaselineCurve(namedtuple("BaselineCurve", "variant points")):
+    """Analytic Aloha throughput curve on a load grid: the ``variant`` name
+    and its ``points``, a tuple of (load, throughput) pairs."""
 
     __slots__ = ()
 
@@ -107,19 +114,12 @@ def decode_probability(code: UserCode, p: float) -> float:
 
 
 def initial_erasure_probability(config: SystemConfig) -> float:
-    """P_0: expected fraction of bursts in collided slots of a fresh frame.
-
-    The collided mass sum_{d >= 2} d * pmf[d] of the expected slot-degree
-    law, exactly rounded, is scaled by ns / total bursts. Only the nonzero
-    entries, a window around the law's mode, are summed.
-    """
-    pmf = expected_initial_histogram(config)
-    degrees = compress(range(2, len(pmf)), pmf[2:])
-    collided_mass = math.fsum(d * pmf[d] for d in degrees)
-    return _clamp_unit(
-        collided_mass * config.ns / config.total_bursts,
-        "initial erasure probability",
-    )
+    """P_0: expected fraction of bursts in collided slots of a fresh frame,
+    the exactly rounded collided mass sum_{d >= 2} d P(d) of the expected
+    slot-degree law times ns / total bursts."""
+    lo, pmf = expected_initial_histogram(config)
+    collided = math.fsum(d * x for d, x in enumerate(pmf, lo) if d >= 2)
+    return _clamp_unit(collided * config.ns / config.total_bursts, "initial erasure probability")
 
 
 def _collided_mass(config: SystemConfig, survival: float) -> float:
@@ -191,3 +191,14 @@ def de_iterate(config: SystemConfig) -> DETrace:
         q_prev = q
 
     return DETrace(states=tuple(states))
+
+
+def aloha_baseline(g: float, variant: str) -> float:
+    """Closed-form Aloha throughput at load g: G e^-G slotted, G e^-2G pure."""
+    if g < 0:
+        raise ValueError(f"load must be >= 0, got {g}")
+    if variant == "slotted":
+        return g * math.exp(-g)
+    if variant == "pure":
+        return g * math.exp(-2.0 * g)
+    raise ValueError(f"unknown baseline variant {variant!r}")

@@ -79,7 +79,7 @@ class SystemConfig(namedtuple("SystemConfig", "ns groups seed")):
                 raise ValueError(f"user group count must be >= 1, got {count}")
             if code.n > ns:
                 raise ValueError(f"burst count n={code.n} exceeds frame size ns={ns}")
-        # the slot-degree law's n_users + 1 entries must fit in a list
+        # user indices, like any index of a sequence or an array, stay below sys.maxsize
         if self.n_users >= sys.maxsize:
             raise ValueError(
                 f"user group count must be <= {sys.maxsize - 1} in total, got {self.n_users}"
@@ -131,7 +131,14 @@ class SystemConfig(namedtuple("SystemConfig", "ns groups seed")):
         import numpy as np
 
         values = np.array([getattr(code, field) for code, _ in self.groups], dtype=np.int64)
-        return np.repeat(values, [count for _, count in self.groups])
+        return self._repeat(values, [count for _, count in self.groups])
+
+    def _repeat(self, values: np.ndarray, counts: Iterable[int]) -> np.ndarray:
+        """``values.repeat(counts)``; an array too large to allocate raises ``MemoryError``."""
+        try:
+            return values.repeat(counts)
+        except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
+            raise MemoryError(f"cannot hold the placement arrays of {self.n_users} users") from None
 
     @cached_property
     def thresholds(self) -> np.ndarray:
@@ -143,7 +150,8 @@ class SystemConfig(namedtuple("SystemConfig", "ns groups seed")):
         """Owner of each position of ``FramePlacement.slot_of_burst`` (read-only)."""
         import numpy as np
 
-        return _read_only(np.repeat(np.arange(self.n_users), self._per_user("n")))
+        bursts_of_user = self._per_user("n")  # first: if it fits, so do n_users indices
+        return _read_only(self._repeat(np.arange(self.n_users), bursts_of_user))
 
     @cached_property
     def placement_groups(self) -> tuple[np.ndarray, ...]:
@@ -292,18 +300,17 @@ def _convolve(a: list[float], b: list[float]) -> list[float]:
     return out
 
 
-def expected_initial_histogram(config: SystemConfig) -> list[float]:
+def expected_initial_histogram(config: SystemConfig) -> tuple[int, list[float]]:
     """Exact expected slot-degree law under the placement model.
 
-    Entry d of the returned list of floats (length ``n_users + 1``) is the
-    probability that a slot holds d bursts. A slot's degree is a sum of
-    independent Bernoulli(n_i / ns) indicators, one per user, i.e.
-    Poisson-binomial. Users of one burst count n share one probability, so
-    the c users with that n contribute a Binomial(c, n / ns) law, and these
-    laws are convolved. Each law is cut below about 1e-19 of its mode first,
-    so it costs time in its standard deviation, not in c, and entries beyond
-    the cuts read 0. The measured law of a placement is
-    ``np.bincount(placement.degree_of_slot) / placement.ns``.
+    Returns ``(lo, pmf)``: ``pmf[j]`` is the probability that a slot holds
+    ``lo + j`` bursts, and every degree outside the window has probability 0.
+    A slot's degree is Poisson-binomial, a sum of one independent
+    Bernoulli(n_i / ns) indicator per user. The c users of one burst count n
+    contribute a Binomial(c, n / ns) law, and these laws are convolved, each
+    cut below about 1e-19 of its mode first, so the law costs time and
+    memory in its standard deviation, not in c. The measured law of a
+    placement is ``np.bincount(placement.degree_of_slot) / placement.ns``.
     """
     users_with_n: Counter[int] = Counter()
     for code, count in config.code_groups:
@@ -317,6 +324,4 @@ def expected_initial_histogram(config: SystemConfig) -> list[float]:
         kept = [d for d, x in enumerate(dist) if x >= floor]
         lo += offset + kept[0]
         dist = dist[kept[0] : kept[-1] + 1]
-    law = [0.0] * (config.n_users + 1)
-    law[lo : lo + len(dist)] = dist
-    return law
+    return lo, dist

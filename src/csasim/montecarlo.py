@@ -11,8 +11,8 @@ how the work was split. A load sweep takes the ``SystemConfig`` it sweeps:
 each load's users mix that config's code groups, weighted by their user
 counts, on its frame size and seed. Its result is one ``SweepResult``: that
 config and one ``TrialAggregate`` per realized load; a load too small for
-one user is logged as a warning and left out. The decoder's per-round
-curves are in ``decoder``.
+one user is logged as a warning and left out. Per-round curves are in
+``decoder``, analytic predictions and the Aloha curve in ``density``.
 """
 from __future__ import annotations
 
@@ -64,13 +64,6 @@ class SweepResult(namedtuple("SweepResult", "config points")):
     def peak(self) -> TrialAggregate:
         """The first point with the largest mean throughput."""
         return max(self.points, key=lambda pt: pt.t_mean)
-
-
-class BaselineCurve(namedtuple("BaselineCurve", "variant points")):
-    """Analytic Aloha throughput curve on a load grid: the ``variant`` name
-    and its ``points``, a tuple of (load, throughput) pairs."""
-
-    __slots__ = ()
 
 
 def normalized_load(config: SystemConfig) -> float:
@@ -274,14 +267,3 @@ def sweep_load(
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
     return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))
-
-
-def aloha_baseline(g: float, variant: str) -> float:
-    """Closed-form Aloha throughput at load g: G e^-G slotted, G e^-2G pure."""
-    if g < 0:
-        raise ValueError(f"load must be >= 0, got {g}")
-    if variant == "slotted":
-        return g * math.exp(-g)
-    if variant == "pure":
-        return g * math.exp(-2.0 * g)
-    raise ValueError(f"unknown baseline variant {variant!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from csasim import FramePlacement, SystemConfig, UserCode
+from csasim import FramePlacement, SystemConfig, UserCode, expected_initial_histogram
 
 
 def set_usable_cpus(monkeypatch, count: int) -> None:
@@ -169,6 +169,19 @@ def exact_degree_law(config: SystemConfig) -> list[Fraction]:
             grown[d + 1] += mass * pr
         law = grown
     return law
+
+
+def padded_degree_law(config: SystemConfig) -> list[float]:
+    """``expected_initial_histogram``'s law at every degree 0..n_users.
+
+    Checks the window it returns, ``(lo, pmf)``: it lies inside degrees
+    0..n_users and holds no zero entry, and the degrees outside it are
+    padded with zeros.
+    """
+    lo, pmf = expected_initial_histogram(config)
+    assert 0 <= lo and lo + len(pmf) <= config.n_users + 1
+    assert all(x > 0 for x in pmf)
+    return [0.0] * lo + pmf + [0.0] * (config.n_users + 1 - lo - len(pmf))
 
 
 def collided_mass_by_thinning(config: SystemConfig, survival: float) -> float:

