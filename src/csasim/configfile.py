@@ -9,20 +9,24 @@ ignored. Keys:
     users=2x(4,2) 3x(2,1)       heterogeneous mixture, users in group order
 
 Integers are ASCII digits, with an optional ``-`` for ``ns`` and ``seed``.
-Each group becomes one ``(UserCode, count)`` pair of ``SystemConfig``,
-which checks them; every diagnostic about a line carries its number.
+Each group becomes one ``(UserCode, count)`` pair of ``SystemConfig``.
+This module checks only the file's syntax; the model checks every value,
+and its diagnostic is reported with the number of the value's line.
+Errors are reported in this order: the first line with a syntax error, an
+unknown key or a repeated key; a missing key; then the values of ``ns``,
+``seed`` and ``users``.
 """
 from __future__ import annotations
 
 import re
-import sys
 from typing import Iterator
 
 from .model import SystemConfig, UserCode
 
 _GROUP_RE = re.compile(r"^(\d+)x\((\d+),(\d+)\)$", re.ASCII)
 _INT_RE = re.compile(r"-?[0-9]+")
-_KEYS = ("ns", "seed", "users")
+# each key with the SystemConfig field it sets, in the order they are set
+_FIELDS = {"ns": "ns", "seed": "seed", "users": "groups"}
 
 
 class ConfigError(ValueError):
@@ -38,23 +42,21 @@ def _parse_int(key: str, value: str, line: int) -> int:
     return int(value)
 
 
-def _parse_users(value: str) -> Iterator[tuple[UserCode, int]]:
+def _parse_users(value: str, line: int) -> Iterator[tuple[UserCode, int]]:
+    """The groups of a ``users`` value: each token's shape is checked now,
+    its code only as the groups are read."""
+    groups = []
     for token in value.split():
         match = _GROUP_RE.match(token)
         if match is None:
-            raise ValueError(f"malformed user group {token!r} (expected COUNTx(n,k))")
-        count, n, k = (int(x) for x in match.groups())
-        yield UserCode(n, k), count
+            raise ConfigError(f"malformed user group {token!r} (expected COUNTx(n,k))", line)
+        groups.append([int(x) for x in match.groups()])
+    return ((UserCode(n, k), count) for count, n, k in groups)
 
 
 def parse_config(text: str) -> SystemConfig:
     """Parse configuration text into a validated SystemConfig."""
-    ns: int | None = None
-    seed = 0
-    users: str | None = None
-    users_line = 0
-    seen: set[str] = set()
-
+    found: dict[str, tuple[int, object]] = {}  # key -> (line, parsed value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,38 +65,28 @@ def parse_config(text: str) -> SystemConfig:
             raise ConfigError(f"expected key=value, got {line!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in seen:
+        if key in found:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        seen.add(key)
-        if key == "ns":
-            ns = _parse_int(key, value, lineno)
-            if ns < 1:
-                raise ConfigError(f"ns must be >= 1, got {ns}", lineno)
-            if ns > sys.maxsize:
-                raise ConfigError(f"ns must be <= {sys.maxsize}, got {ns}", lineno)
-        elif key == "seed":
-            seed = _parse_int(key, value, lineno)
-            if not 0 <= seed < 2**64:
-                raise ConfigError(
-                    f"seed must be a 64-bit unsigned integer, got {seed}", lineno
-                )
-        elif key == "users":
-            users = value
-            users_line = lineno
+        value = value.strip()
+        parsed = _parse_users(value, lineno) if key == "users" else _parse_int(key, value, lineno)
+        found[key] = lineno, parsed
+    for key in ("ns", "users"):
+        if key not in found:
+            raise ConfigError(f"missing required key {key!r}")
 
-    if ns is None:
-        raise ConfigError("missing required key 'ns'")
-    if users is None:
-        raise ConfigError("missing required key 'users'")
-
-    # ns and seed are valid here, so whatever is wrong now is on the users line
-    try:
-        return SystemConfig(ns, _parse_users(users), seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc), users_line) from None
+    # One user of code (1,1) fits any frame, so each step sets one value on a
+    # config that is already valid, and the model's ValueError is about it.
+    config = SystemConfig(1, [(UserCode(1, 1), 1)])
+    for key, field in _FIELDS.items():
+        if key in found:
+            lineno, parsed = found[key]
+            try:
+                config = config._replace(**{field: parsed})
+            except ValueError as exc:
+                raise ConfigError(str(exc), lineno) from None
+    return config
 
 
 def render_config(config: SystemConfig) -> str:

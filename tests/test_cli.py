@@ -74,6 +74,7 @@ class TestParseConfig:
             ("ns=4\nusers=10000000000000000000x(1,1)", "user group count must be <=", 2),
             (f"ns={sys.maxsize}\nusers=1x({10**30},1)", "burst count n must be <=", 2),
             (f"ns={10**30}\nusers=1x(3,1)", "ns must be <=", 1),
+            (f"ns=4\nseed={2**64}\nusers=1x(2,1)", "seed must be a 64-bit unsigned integer", 2),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, fragment, line):
@@ -81,6 +82,37 @@ class TestParseConfig:
             parse_config(text)
         assert fragment in str(err.value)
         assert f"line {line}:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,ns,seed",
+        [
+            (f"ns=4\nseed={2**64 - 1}\nusers=1x(2,1)", 4, 2**64 - 1),
+            (f"ns={sys.maxsize}\nusers=1x(1,1)", sys.maxsize, 0),
+        ],
+        ids=["largest-seed", "largest-ns"],
+    )
+    def test_values_at_the_model_bounds_parse(self, text, ns, seed):
+        config = parse_config(text)
+        assert (config.ns, config.seed) == (ns, seed)
+
+    @pytest.mark.parametrize(
+        "text,diagnostic",
+        [
+            # a syntax or key error on any line comes before every range error
+            ("ns=0\nfoo=1\nusers=1x(1,1)", "line 2: unknown key 'foo'"),
+            ("ns=0\nseed=-1\nusers=1x(1,1) garbage", "line 3: malformed user group"),
+            ("ns=0\nseed=-1", "missing required key 'users'"),
+            # then the values, in the order ns, seed, users
+            ("users=1x(5,1)\nseed=-1\nns=0", "line 3: frame size ns must be >= 1"),
+            ("users=1x(5,1)\nseed=-1\nns=4", "line 2: seed must be"),
+            ("users=1x(5,1)\nseed=1\nns=4", "line 1: burst count n=5 exceeds frame size ns=4"),
+        ],
+        ids=["unknown-key", "malformed-group", "missing-key", "ns", "seed", "users"],
+    )
+    def test_syntax_errors_come_before_range_errors(self, text, diagnostic):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(diagnostic)
 
     def test_missing_keys(self):
         with pytest.raises(ConfigError, match="missing required key 'ns'"):
@@ -288,9 +320,9 @@ class TestCommandLine:
             (f"ns={sys.maxsize}\nusers=10000000000000000000x(1,1)", ["de"], "error: line 2: "),
             (f"ns={sys.maxsize}\nusers=1x({10**30},1)", SIMULATE_ONE, "error: line 2: "),
             (f"ns={sys.maxsize}\nusers=1x({10**30},1)", TRACE_ONE, "error: line 2: "),
-            (f"ns={10**30}\nusers=1x(3,1)", SIMULATE_ONE, "error: line 1: ns must be <="),
-            (f"ns={10**30}\nusers=1x(3,1)", TRACE_ONE, "error: line 1: ns must be <="),
-            (f"ns={10**30}\nusers=1x(3,1)", ["de"], "error: line 1: ns must be <="),
+            (f"ns={10**30}\nusers=1x(3,1)", SIMULATE_ONE, "error: line 1: frame size ns must be <="),
+            (f"ns={10**30}\nusers=1x(3,1)", TRACE_ONE, "error: line 1: frame size ns must be <="),
+            (f"ns={10**30}\nusers=1x(3,1)", ["de"], "error: line 1: frame size ns must be <="),
             (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", ["de"], "error: line 2: "),
             (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", SIMULATE_ONE, "error: line 2: "),
         ],
@@ -309,6 +341,21 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(diagnostic)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "above-64-bit"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--g", "0.5"]], ids=["simulate", "sweep"]
+    )
+    def test_out_of_range_seed_override_exits_1_with_one_line(
+        self, tmp_path, config_file, capsys, command, seed
+    ):
+        out = tmp_path / "x.csv"
+        flags = ["--config", str(config_file), "--frames", "2", "--seed", str(seed)]
+        code = main([*command, *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
         assert not out.exists()
 
     def test_bad_grid_fails(self, config_file, tmp_path, capsys):
