@@ -8,10 +8,11 @@ Subcommands:
     trace     --config F --frame-index J --out F.csv
     baseline  --variant slotted|pure --g GRID --out F.csv
 
-Load grids are START:STOP:STEP (inclusive) or a comma-separated list, and
-N is between 1 and sys.maxsize. All behaviour is controlled by flags;
-environment variables are ignored so a command line fully reproduces a
-result.
+Load grids are START:STOP:STEP (inclusive) or a comma-separated list of
+ASCII numbers; integer flags take the config file's ``integer`` syntax, and
+N is between 1 and sys.maxsize. The config file is read as UTF-8. All
+behaviour is controlled by flags; environment variables, the locale too,
+are ignored so a command line fully reproduces a result.
 
 Exit status: 0 on success, 1 on bad input, an I/O error, an allocation
 that does not fit in memory or a worker process that died (one ``error:``
@@ -25,7 +26,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .configfile import parse_config
+from .configfile import integer, parse_config
 from .csvio import emit_csv
 from .model import InternalError
 
@@ -43,6 +44,8 @@ def parse_g_spec(text: str) -> tuple[float, ...]:
     """Parse a load grid: START:STOP:STEP (inclusive) or comma list."""
     ranged = ":" in text
     tokens = text.split(":") if ranged else [t for t in text.split(",") if t.strip()]
+    if not text.isascii() or "_" in text:  # float() takes both
+        raise ValueError(f"bad load grid {text!r}")
     try:
         numbers = [float(tok) for tok in tokens]
     except ValueError:
@@ -78,8 +81,11 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
 
         curve = tuple((g, aloha_baseline(g, args.variant)) for g in args.g)
         return BaselineCurve(args.variant, curve)
-    with open(args.config) as handle:
-        config = parse_config(handle.read())
+    try:
+        with open(args.config, encoding="utf-8") as handle:
+            config = parse_config(handle.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     if getattr(args, "seed", None) is not None:
         config = config._replace(seed=args.seed)
     if args.command == "simulate":
@@ -123,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_monte_carlo(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--frames", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--frames", type=integer, required=True)
+        p.add_argument("--seed", type=integer, default=None, help="override the config seed")
+        p.add_argument("--workers", type=integer, default=1)
 
     add_monte_carlo(add_command("simulate", "average metrics over many frames"))
     p = add_command("sweep", "throughput/PLR versus normalized load")
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_monte_carlo(p)
     add_command("de", "analytic per-round recursion")
     p = add_command("trace", "decode one frame and dump its rounds")
-    p.add_argument("--frame-index", type=int, required=True)
+    p.add_argument("--frame-index", type=integer, required=True)
     p = add_command("baseline", "analytic Aloha throughput curve", config=False)
     p.add_argument("--variant", choices=["slotted", "pure"], required=True)
     p.add_argument("--g", required=True, help="load grid, START:STOP:STEP or comma list")

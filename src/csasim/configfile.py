@@ -8,8 +8,9 @@ ignored. Keys:
     users=302x(3,1)             user population, space-separated groups
     users=2x(4,2) 3x(2,1)       heterogeneous mixture, users in group order
 
-Integers are ASCII digits, with an optional ``-`` for ``ns`` and ``seed``.
-Each group becomes one ``(UserCode, count)`` pair of ``SystemConfig``.
+The file is UTF-8 under any locale; a comment holds any text but a line end.
+Integers, as in the command line's flags, are ``integer``: ASCII digits with
+an optional ``-``. Each group becomes one ``(UserCode, count)`` pair.
 This module checks only the file's syntax; the model checks every value,
 and its diagnostic is reported with the number of the value's line.
 Errors are reported in this order: the first line with a syntax error, an
@@ -23,8 +24,8 @@ from typing import Iterator
 
 from .model import SystemConfig, UserCode
 
-_GROUP_RE = re.compile(r"^(\d+)x\((\d+),(\d+)\)$", re.ASCII)
 _INT_RE = re.compile(r"-?[0-9]+")
+_GROUP_RE = re.compile(r"({0})x\(({0}),({0})\)".format(_INT_RE.pattern))
 # each key with the SystemConfig field it sets, in the order they are set
 _FIELDS = {"ns": "ns", "seed": "seed", "users": "groups"}
 
@@ -36,10 +37,18 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def integer(text: str) -> int:
+    """The one integer syntax of a config file and of the integer flags."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(key: str, value: str, line: int) -> int:
-    if _INT_RE.fullmatch(value) is None:
-        raise ConfigError(f"non-numeric value for '{key}': {value!r}", line)
-    return int(value)
+    try:
+        return integer(value)
+    except ValueError:
+        raise ConfigError(f"non-numeric value for '{key}': {value!r}", line) from None
 
 
 def _parse_users(value: str, line: int) -> Iterator[tuple[UserCode, int]]:
@@ -47,7 +56,7 @@ def _parse_users(value: str, line: int) -> Iterator[tuple[UserCode, int]]:
     its code only as the groups are read."""
     groups = []
     for token in value.split():
-        match = _GROUP_RE.match(token)
+        match = _GROUP_RE.fullmatch(token)
         if match is None:
             raise ConfigError(f"malformed user group {token!r} (expected COUNTx(n,k))", line)
         groups.append([int(x) for x in match.groups()])
@@ -57,7 +66,7 @@ def _parse_users(value: str, line: int) -> Iterator[tuple[UserCode, int]]:
 def parse_config(text: str) -> SystemConfig:
     """Parse configuration text into a validated SystemConfig."""
     found: dict[str, tuple[int, object]] = {}  # key -> (line, parsed value)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

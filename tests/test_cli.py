@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -14,6 +16,8 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csasim import (
     ConfigError,
@@ -23,7 +27,7 @@ from csasim import (
     parse_config,
     render_config,
 )
-from csasim import cli, csvio, density, montecarlo
+from csasim import cli, configfile, csvio, density, montecarlo
 from csasim.cli import main, parse_g_spec
 from csasim.csvio import BASELINE_HEADER, DE_HEADER, SWEEP_HEADER, TRACE_HEADER
 from helpers import user_codes
@@ -54,6 +58,14 @@ class TestParseConfig:
         text = "# experiment\nns=8   # slots\n\nusers=1x(2,1)\n"
         assert parse_config(text).ns == 8
 
+    @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1e"])
+    def test_a_comment_holds_any_text_but_a_line_end(self, mark):
+        # str.splitlines() would end the comment at each of these
+        config = parse_config(f"ns=8  # caf\u00e9{mark}ns=9\r\nusers=1x(2,1)\rseed=1\n")
+        assert (config.ns, config.seed) == (8, 1)
+        with pytest.raises(ConfigError, match="^line 3: unknown key 'foo'"):
+            parse_config(f"ns=8  # {mark}\r\nusers=1x(2,1)\rfoo=1\n")
+
     @pytest.mark.parametrize(
         "text,fragment,line",
         [
@@ -64,6 +76,9 @@ class TestParseConfig:
             ("ns=4\nusers=", "user list is empty", 2),
             ("ns=4\nusers=1x(2,1) garbage", "malformed user group", 2),
             ("ns=4\nusers=2x(\u0663,1)", "malformed user group", 2),  # an Arabic-Indic 3
+            ("ns=4\nusers=2x(+3,1)", "malformed user group", 2),
+            ("ns=4\nusers=-1x(2,1)", "user group count must be >= 1, got -1", 2),
+            ("ns=4\nusers=1x(-2,1)", "burst count n must be >= 1, got -2", 2),
             ("ns=1_000\nusers=1x(2,1)", "non-numeric value for 'ns'", 1),
             ("ns=4\nns=5\nusers=1x(2,1)", "duplicate key", 2),
             ("ns=4\nseed=x\nusers=1x(2,1)", "non-numeric value for 'seed'", 2),
@@ -157,10 +172,53 @@ class TestGSpec:
         assert parse_g_spec("0.2,0.4") == (0.2, 0.4)
         assert parse_g_spec("0.63") == (0.63,)
 
-    @pytest.mark.parametrize("bad", ["", "1:2", "0.5:0.1:0.1", "1:2:0", "a,b", "-1"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1:2", "0.5:0.1:0.1", "1:2:0", "a,b", "-1", "0_5", "\u0660.\u0665"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_g_spec(bad)
+
+
+# ASCII digits and signs, an underscore, and the Arabic-Indic and fullwidth
+# digits, which int() reads as their values
+INTEGER_ALPHABET = (
+    "0123456789-+_"
+    + "".join(map(chr, range(0x660, 0x66A)))
+    + "".join(map(chr, range(0xFF10, 0xFF1A)))
+)
+
+
+def _seed_flag(text: str) -> int | None:
+    """``--seed``'s value as the command line reads it, None where refused."""
+    argv = ["simulate", "--config", "c", "--frames", "1", f"--seed={text}", "--out", "o"]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return cli.build_parser().parse_args(argv).seed
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(INTEGER_ALPHABET, max_size=6))
+@example("1_0")
+@example("+5")
+@example("\u0661\u0661")
+@example("\uff17")
+@example("-0")
+@example("")
+def test_flags_and_config_accept_the_same_integers(text):
+    try:
+        value = configfile.integer(text)
+    except ValueError:
+        value = None
+    assert _seed_flag(text) == value
+    try:
+        seed = parse_config(f"ns=4\nseed={text}\nusers=1x(2,1)\n").seed
+    except ConfigError as exc:  # a syntax error, or a value out of the seed's range
+        assert ("non-numeric value for 'seed'" in str(exc)) == (value is None)
+    else:
+        assert seed == value
 
 
 @pytest.fixture
@@ -171,6 +229,19 @@ def config_file(tmp_path):
 
 
 SIMULATE_ONE = ["simulate", "--frames", "1"]
+# the C locale, with neither of Python's ways round its ASCII encoding
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_cli(argv: list[str], **environment: str) -> subprocess.CompletedProcess:
+    """``python -m csasim.cli`` in a subprocess, with ``environment`` added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "csasim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **environment},
+        capture_output=True,
+        text=True,
+    )
 TRACE_ONE = ["trace", "--frame-index", "0"]
 # two groups of this many users hold more than sys.maxsize users together
 HALF_MAX = 5 * 10**18
@@ -378,26 +449,86 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "command,out_given",
-        [(["de"], False), (["bogus"], True), (["simulate", "--frames", "x"], True)],
-        ids=["missing-out", "unknown-command", "non-integer-frames"],
+        [
+            (["de"], False),
+            (["bogus"], True),
+            (["simulate", "--frames", "x"], True),
+            (["simulate", "--frames", "1_0"], True),
+            (["simulate", "--frames", "1", "--seed", "\u0661\u0661"], True),
+            (["simulate", "--frames", "1", "--workers", "+2"], True),
+            (["trace", "--frame-index", " 3"], True),
+        ],
+        ids=[
+            "missing-out",
+            "unknown-command",
+            "non-integer-frames",
+            "underscored-frames",
+            "arabic-indic-seed",
+            "plus-signed-workers",
+            "space-led-frame-index",
+        ],
     )
     def test_usage_error_exits_2(self, tmp_path, config_file, command, out_given):
         # a subprocess, as argparse ends a usage error with sys.exit(2)
-        src = str(Path(cli.__file__).resolve().parents[1])
         out = tmp_path / "x.csv"
         flags = ["--config", str(config_file)] + (["--out", str(out)] if out_given else [])
-        result = subprocess.run(
-            [sys.executable, "-m", "csasim.cli", *command, *flags],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-        )
+        result = run_cli([*command, *flags])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         err = result.stderr.splitlines()
         assert err[0].startswith("usage: csasim")
         assert sum(": error: " in line for line in err) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0661", "+5"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (SIMULATE_ONE, "--frames"),
+            (SIMULATE_ONE, "--seed"),
+            (SIMULATE_ONE, "--workers"),
+            (TRACE_ONE, "--frame-index"),
+        ],
+        ids=["frames", "seed", "workers", "frame-index"],
+    )
+    def test_integer_flags_take_the_config_integer_syntax(
+        self, tmp_path, config_file, capsys, command, flag, value
+    ):
+        # a later flag overrides an earlier one, so SIMULATE_ONE's --frames 1 too
+        out = tmp_path / "x.csv"
+        argv = [*command, flag, value, "--config", str(config_file), "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if ": error: " in line] == [
+            f"csasim {command[0]}: error: argument {flag}: invalid integer value: {value!r}"
+        ]
+        assert not out.exists()
+
+    def test_config_gives_the_same_bytes_under_the_c_locale(self, tmp_path):
+        # the config is read as UTF-8; the C locale's own encoding is ASCII
+        config = tmp_path / "exp.cfg"
+        config.write_bytes("ns=30\nusers=8x(3,1)  # caf\u00e9\nseed=11\n".encode())
+        outputs = []
+        for name, environment in [("default", {}), ("c-locale", C_LOCALE)]:
+            out = tmp_path / f"{name}.csv"
+            result = run_cli(["de", "--config", str(config), "--out", str(out)], **environment)
+            assert (result.returncode, result.stderr) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("environment", [{}, C_LOCALE], ids=["default", "c-locale"])
+    def test_config_that_is_not_utf8_exits_1_naming_it(self, tmp_path, environment):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("ns=30\nusers=8x(3,1)  # caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "x.csv"
+        out.write_text("stale\n")
+        result = run_cli(["de", "--config", str(config), "--out", str(out)], **environment)
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {config}: not UTF-8 text")
+        assert out.read_text() == "stale\n"
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_rejects_workers_below_one(self, tmp_path, config_file, capsys, workers):
