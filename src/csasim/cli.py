@@ -10,14 +10,16 @@ Subcommands:
 
 Load grids are START:STOP:STEP (inclusive) or a comma-separated list of
 ASCII numbers; integer flags take the config file's ``integer`` syntax, and
-N is between 1 and sys.maxsize. The config file is read as UTF-8. All
-behaviour is controlled by flags; environment variables, the locale too,
-are ignored so a command line fully reproduces a result.
+N is between 1 and sys.maxsize. The config file is read as UTF-8, a
+leading byte-order mark allowed. All behaviour is controlled by flags;
+environment variables, the locale too, are ignored so a command line fully
+reproduces a result.
 
 Exit status: 0 on success, 1 on bad input, an I/O error, an allocation
 that does not fit in memory or a worker process that died (one ``error:``
-line on stderr; ``--out`` is left as it was), 2 on a usage error (argparse),
-3 on an internal error, i.e. a bug (one ``error: internal:`` line).
+line on stderr; ``--out`` is left as it was), 2 on a usage error (argparse;
+a flag's value of ``--``, as in ``--seed=--``, is one), 3 on an internal
+error, i.e. a bug (one ``error: internal:`` line).
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
         curve = tuple((g, aloha_baseline(g, args.variant)) for g in args.g)
         return BaselineCurve(args.variant, curve)
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(args.config, encoding="utf-8-sig") as handle:
             config = parse_config(handle.read())
     except UnicodeDecodeError as exc:
         raise ValueError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
@@ -114,6 +116,17 @@ def _pool_failures() -> tuple[type[BaseException], ...]:
     return () if futures is None else (futures.BrokenExecutor,)
 
 
+class _OneValue(argparse.Action):
+    """Stores a flag's one value. argparse hands a flag written ``--FLAG=--``
+    an empty list, neither converted by ``type`` nor checked against
+    ``choices``, so that is a usage error here."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            parser.error(f"argument {option_string}: expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csasim",
@@ -123,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name: str, summary: str, config: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
+        p.register("action", None, _OneValue)  # the action of every flag below
         if config:
             p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", required=True, help="output CSV path")

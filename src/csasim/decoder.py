@@ -14,8 +14,10 @@ its degree and the sum of the user indices still in it, so a slot of degree
 and credits one clean burst to the owner of each slot whose degree just fell
 to 1; no round rescans every burst of the frame.
 
-Traces replay the per-round masks of decoded users that peeling returns; the
-fixpoint's erasure fraction is above 0 exactly when the frame deadlocked.
+Traces and round curves replay the per-round masks of decoded users that
+peeling returns, counting the bursts left: a round's collided fraction is
+those bursts less the slots of degree 1, over those bursts. The fixpoint's
+erasure fraction is above 0 exactly when the frame deadlocked.
 """
 from __future__ import annotations
 
@@ -52,12 +54,6 @@ class DecodeTrace(namedtuple("DecodeTrace", "rounds final_p")):
     @property
     def decoded_users(self) -> frozenset[int]:
         return frozenset().union(*(r.newly_decoded for r in self.rounds))
-
-
-def _collided_fraction(degree: np.ndarray) -> float:
-    """Fraction of the bursts in ``degree`` that sit in collided slots."""
-    remaining = int(degree.sum())
-    return int(degree[degree >= 2].sum()) / remaining if remaining else 0.0
 
 
 def _peel(
@@ -100,23 +96,25 @@ def _peel(
     return undecoded, decoded_by_round, degree, len(decoded_by_round)
 
 
-def _round_statistics(
-    config: SystemConfig, placement: FramePlacement, decoded_by_round: list[np.ndarray]
-) -> np.ndarray:
-    """Each round's (p, q) replayed from a frame's decoded masks, as a (2,
-    rounds + 1) array: the collided fraction before the round, the undecoded
-    fraction after it; the last column holds both at the fixpoint."""
+def _rounds(config: SystemConfig, placement: FramePlacement) -> tuple[list[np.ndarray], np.ndarray]:
+    """Peel a frame and replay its rounds; returns each productive round's
+    mask of the users it decodes and a (2, rounds + 1) array of each round's
+    collided fraction before it and undecoded fraction after it; the last
+    column holds both at the fixpoint."""
+    decoded_by_round = _peel(config, placement)[1]
     degree = placement.degree_of_slot.copy()
-    undecoded = config.n_users
+    remaining, undecoded = config.total_bursts, config.n_users  # bursts, users
     stats = np.empty((2, len(decoded_by_round) + 1))
-    for l, decoded in enumerate(decoded_by_round):
-        stats[0, l] = _collided_fraction(degree)
-        hit_slots = placement.slot_of_burst[decoded[config.user_of_burst]]
-        degree -= np.bincount(hit_slots, minlength=config.ns)
-        undecoded -= np.count_nonzero(decoded)
+    for l, decoded in enumerate([*decoded_by_round, None]):
+        # a slot of degree 1 holds the one clean burst of its owner
+        stats[0, l] = (remaining - np.count_nonzero(degree == 1)) / remaining if remaining else 0.0
+        if decoded is not None:
+            hit_slots = placement.slot_of_burst[decoded[config.user_of_burst]]
+            degree -= np.bincount(hit_slots, minlength=config.ns)
+            remaining -= hit_slots.size
+            undecoded -= np.count_nonzero(decoded)
         stats[1, l] = undecoded / config.n_users
-    stats[:, -1] = _collided_fraction(degree), undecoded / config.n_users
-    return stats
+    return decoded_by_round, stats
 
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:
@@ -125,8 +123,8 @@ def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace
         raise ValueError("placement does not match config")
     if np.unique(config.user_of_burst * config.ns + placement.slot_of_burst).size < config.total_bursts:
         raise ValueError("a user's bursts must lie in distinct slots")
-    _, decoded_by_round, _, _ = _peel(config, placement)
-    p, q = _round_statistics(config, placement, decoded_by_round).tolist()
+    decoded_by_round, stats = _rounds(config, placement)
+    p, q = stats.tolist()
     newly_decoded = [frozenset(np.flatnonzero(d).tolist()) for d in decoded_by_round]
     # map stops at the last round, before the fixpoint column
     return DecodeTrace(tuple(map(RoundRecord, newly_decoded, p, q)), final_p=p[-1])
@@ -142,8 +140,7 @@ def empirical_round_curves(
         raise ValueError(f"need frames >= 1 and num_rounds >= 0, got {frames} and {num_rounds}")
     sums = np.zeros((2, num_rounds))
     for frame_index in range(frames):
-        placement = place_frame(config, frame_index)
-        stats = _round_statistics(config, placement, _peel(config, placement)[1])
+        stats = _rounds(config, place_frame(config, frame_index))[1]
         # rounds past the fixpoint read its column
         sums += stats[:, np.minimum(np.arange(num_rounds), stats.shape[1] - 1)]
     return sums[0] / frames, sums[1] / frames

@@ -186,11 +186,11 @@ def run_trials(
 
 
 def _apportion(weights: Sequence[int], total: int) -> list[int]:
-    """Largest-remainder rounding of ``total`` into integer shares."""
+    """Largest-remainder rounding of ``total`` into integer shares, in exact
+    integers; equal remainders go to the lower index."""
     scale = sum(weights)
-    quotas = [w / scale * total for w in weights]
-    counts = [int(math.floor(q)) for q in quotas]
-    order = sorted(range(len(weights)), key=lambda i: (counts[i] - quotas[i], i))
+    counts = [w * total // scale for w in weights]
+    order = sorted(range(len(weights)), key=lambda i: (-(weights[i] * total % scale), i))
     for i in order[: total - sum(counts)]:
         counts[i] += 1
     return counts

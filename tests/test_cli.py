@@ -58,6 +58,34 @@ class TestParseConfig:
         text = "# experiment\nns=8   # slots\n\nusers=1x(2,1)\n"
         assert parse_config(text).ns == 8
 
+    def test_blanks_are_space_and_tab(self):
+        config = parse_config("\tns =\t8 \nusers= 1x(2,1)\t \t1x(3,1)\t# two\tgroups\n")
+        assert config == SystemConfig(8, ((UserCode(2, 1), 1), (UserCode(3, 1), 1)))
+
+    @pytest.mark.parametrize("chars", [640, 641])
+    @pytest.mark.parametrize(
+        "template,model_diagnostic",
+        [
+            ("ns={}\nusers=1x(1,1)", "line 1: frame size ns must be <="),
+            ("ns=4\nseed={}\nusers=1x(1,1)", "line 2: seed must be"),
+            ("ns=4\nusers=1x(2,1) {}x(1,1)", "line 2: user group count must be <="),
+            ("ns=4\nusers=1x(1,-{})", "line 2: need 1 <= k <= n"),
+        ],
+        ids=["ns", "seed", "count", "negative-k"],
+    )
+    def test_integer_text_over_640_characters_is_out_of_range(
+        self, template, model_diagnostic, chars
+    ):
+        # 640 is the lowest limit int() can be set to, so longer text is not read
+        digits = "9" * (chars - template.endswith("-{})"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(template.format(digits))
+        if chars == 640:
+            assert str(err.value).startswith(model_diagnostic)
+        else:
+            line = model_diagnostic.split(":")[0]
+            assert str(err.value) == f"{line}: integer of more than 640 characters is out of range"
+
     @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1e"])
     def test_a_comment_holds_any_text_but_a_line_end(self, mark):
         # str.splitlines() would end the comment at each of these
@@ -77,6 +105,9 @@ class TestParseConfig:
             ("ns=4\nusers=1x(2,1) garbage", "malformed user group", 2),
             ("ns=4\nusers=2x(\u0663,1)", "malformed user group", 2),  # an Arabic-Indic 3
             ("ns=4\nusers=2x(+3,1)", "malformed user group", 2),
+            ("ns=\u30004\nusers=1x(2,1)", "non-numeric value for 'ns'", 1),  # an ideographic space
+            ("ns=4\nusers=1x(2,1)\u30002x(2,1)", "malformed user group", 2),
+            ("ns\xa0=4\nusers=1x(2,1)", "unknown key", 1),  # a no-break space
             ("ns=4\nusers=-1x(2,1)", "user group count must be >= 1, got -1", 2),
             ("ns=4\nusers=1x(-2,1)", "burst count n must be >= 1, got -2", 2),
             ("ns=1_000\nusers=1x(2,1)", "non-numeric value for 'ns'", 1),
@@ -202,6 +233,7 @@ def _seed_flag(text: str) -> int | None:
 @settings(max_examples=300, deadline=None)
 @given(st.text(INTEGER_ALPHABET, max_size=6))
 @example("1_0")
+@example("--")
 @example("+5")
 @example("\u0661\u0661")
 @example("\uff17")
@@ -245,6 +277,7 @@ def run_cli(argv: list[str], **environment: str) -> subprocess.CompletedProcess:
 TRACE_ONE = ["trace", "--frame-index", "0"]
 # two groups of this many users hold more than sys.maxsize users together
 HALF_MAX = 5 * 10**18
+OUT_OF_RANGE = "integer of more than 640 characters is out of range"
 
 
 class TestCommandLine:
@@ -396,10 +429,12 @@ class TestCommandLine:
             (f"ns={10**30}\nusers=1x(3,1)", ["de"], "error: line 1: frame size ns must be <="),
             (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", ["de"], "error: line 2: "),
             (f"ns={sys.maxsize}\nusers={HALF_MAX}x(1,1) {HALF_MAX}x(1,1)", SIMULATE_ONE, "error: line 2: "),
+            (f"ns=30\nusers=1x({'7' * 5000},1)", ["de"], f"error: line 2: {OUT_OF_RANGE}"),
+            (f"ns=30\nseed={'7' * 5000}\nusers=1x(3,1)", ["de"], f"error: line 2: {OUT_OF_RANGE}"),
         ],
         ids=[
             "count-de", "n-simulate", "n-trace", "ns-simulate", "ns-trace", "ns-de",
-            "total-de", "total-simulate",
+            "total-de", "total-simulate", "5000-digit-n-de", "5000-digit-seed-de",
         ],
     )
     def test_oversized_integer_in_config_exits_1_with_one_line(
@@ -412,7 +447,24 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(diagnostic)
+        assert "7" * 100 not in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "digits,diagnostic",
+        [(640, "error: line 2: seed must be a 64-bit"), (641, f"error: line 2: {OUT_OF_RANGE}")],
+    )
+    def test_integer_text_bound_holds_at_the_lowest_digit_limit(self, tmp_path, digits, diagnostic):
+        # 640 is the lowest limit PYTHONINTMAXSTRDIGITS takes
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"ns=30\nseed={'9' * digits}\nusers=1x(3,1)\n")
+        result = run_cli(
+            ["de", "--config", str(config), "--out", str(tmp_path / "x.csv")],
+            PYTHONINTMAXSTRDIGITS="640",
+        )
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(diagnostic)
 
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "above-64-bit"])
     @pytest.mark.parametrize(
@@ -457,6 +509,15 @@ class TestCommandLine:
             (["simulate", "--frames", "1", "--seed", "\u0661\u0661"], True),
             (["simulate", "--frames", "1", "--workers", "+2"], True),
             (["trace", "--frame-index", " 3"], True),
+            # argparse hands a flag written --FLAG=-- an empty list
+            (["simulate", "--frames", "1", "--seed=--"], True),
+            (["simulate", "--frames=--"], True),
+            (["simulate", "--frames", "1", "--workers=--"], True),
+            (["trace", "--frame-index=--"], True),
+            (["sweep", "--frames", "1", "--g=--"], True),
+            (["de", "--config=--"], True),
+            (["de", "--out=--"], True),
+            (["baseline", "--g", "0.5", "--variant=--"], True),
         ],
         ids=[
             "missing-out",
@@ -466,12 +527,21 @@ class TestCommandLine:
             "arabic-indic-seed",
             "plus-signed-workers",
             "space-led-frame-index",
+            "dashes-seed",
+            "dashes-frames",
+            "dashes-workers",
+            "dashes-frame-index",
+            "dashes-g",
+            "dashes-config",
+            "dashes-out",
+            "dashes-variant",
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, config_file, command, out_given):
         # a subprocess, as argparse ends a usage error with sys.exit(2)
         out = tmp_path / "x.csv"
-        flags = ["--config", str(config_file)] + (["--out", str(out)] if out_given else [])
+        config = [] if command[0] == "baseline" else ["--config", str(config_file)]
+        flags = config + (["--out", str(out)] if out_given else [])
         result = run_cli([*command, *flags])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
@@ -515,6 +585,16 @@ class TestCommandLine:
             out = tmp_path / f"{name}.csv"
             result = run_cli(["de", "--config", str(config), "--out", str(out)], **environment)
             assert (result.returncode, result.stderr) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_config_with_a_byte_order_mark_gives_the_same_bytes(self, tmp_path, config_file):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        outputs = []
+        for config in (config_file, marked):
+            out = tmp_path / f"{config.stem}.csv"
+            assert main(["de", "--config", str(config), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 

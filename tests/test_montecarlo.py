@@ -282,9 +282,17 @@ class TestUnbiasedAgainstEnumeration:
 
 class TestApportion:
     def test_largest_remainder(self):
-        assert _apportion([2.0, 3.0], 7) == [3, 4]
-        assert _apportion([1.0, 1.0, 1.0], 7) == [3, 2, 2]
-        assert _apportion([5.0], 3) == [3]
+        assert _apportion([2, 3], 7) == [3, 4]
+        assert _apportion([1, 1, 1], 7) == [3, 2, 2]
+        assert _apportion([5], 3) == [3]
+
+    @pytest.mark.parametrize(
+        "weights,total,shares",
+        [([147, 97], 366, [221, 145]), ([5, 7, 26], 8, [1, 2, 5])],
+    )
+    def test_equal_remainders_go_to_the_lower_index(self, weights, total, shares):
+        # float quotas put these remainders a rounding error apart
+        assert _apportion(weights, total) == shares
 
     def test_users_for_load(self):
         assert users_for_load(homogeneous(400, 3, 1, 1), 0.755) == ((UserCode(3, 1), 302),)
