@@ -28,7 +28,8 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .configfile import integer, parse_config
+from . import configfile
+from .configfile import parse_config
 from .csvio import emit_csv
 from .model import InternalError
 
@@ -116,13 +117,23 @@ def _pool_failures() -> tuple[type[BaseException], ...]:
     return () if futures is None else (futures.BrokenExecutor,)
 
 
+def integer(text: str) -> int:
+    """``configfile.integer`` as a flag type, so integer text too long for any
+    range gets the config file's short message, not an echo of its digits."""
+    try:
+        return configfile.integer(text)
+    except configfile.ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _OneValue(argparse.Action):
-    """Stores a flag's one value. argparse hands a flag written ``--FLAG=--``
-    an empty list, neither converted by ``type`` nor checked against
-    ``choices``, so that is a usage error here."""
+    """Stores a flag's one value. For a flag written ``--FLAG=--``, argparse
+    before 3.13 hands over an empty list, neither converted by ``type`` nor
+    checked against ``choices``, and 3.13 the text ``--``; either is a usage
+    error here."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
+        if values in ([], "--"):
             parser.error(f"argument {option_string}: expected one argument")
         setattr(namespace, self.dest, values)
 

@@ -1,4 +1,4 @@
-"""Iterative interference-cancellation decoding of one frame.
+"""Iterative interference-cancellation decoding: all of the per-frame work.
 
 The receiver peels the user/slot graph in synchronous rounds: every user that
 currently has at least k clean bursts is decoded, all n of its bursts are
@@ -17,7 +17,8 @@ to 1; no round rescans every burst of the frame.
 Traces and round curves replay the per-round masks of decoded users that
 peeling returns, counting the bursts left: a round's collided fraction is
 those bursts less the slots of degree 1, over those bursts. The fixpoint's
-erasure fraction is above 0 exactly when the frame deadlocked.
+erasure fraction is above 0 exactly when the frame deadlocked. Monte Carlo
+counts (``frame_counts``) read each frame's undecoded mask and round count.
 """
 from __future__ import annotations
 
@@ -115,6 +116,20 @@ def _rounds(config: SystemConfig, placement: FramePlacement) -> tuple[list[np.nd
             undecoded -= np.count_nonzero(decoded)
         stats[1, l] = undecoded / config.n_users
     return decoded_by_round, stats
+
+
+def frame_counts(config: SystemConfig, start: int, stop: int) -> np.ndarray:
+    """Simulate frame indices [start, stop). Returns an int64 (3, stop - start)
+    array whose rows hold each frame's productive decoder rounds, undecoded
+    users and payload bursts of those users (lost payload)."""
+    counts = np.empty((3, stop - start), dtype=np.int64)
+    rounds, undecoded_users, lost_payload = counts
+    thresholds = config.thresholds
+    for j in range(stop - start):
+        undecoded, _, _, rounds[j] = _peel(config, place_frame(config, start + j))
+        undecoded_users[j] = np.count_nonzero(undecoded)
+        lost_payload[j] = thresholds[undecoded].sum()
+    return counts
 
 
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:

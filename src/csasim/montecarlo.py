@@ -1,18 +1,19 @@
-"""Monte Carlo harness: per-frame counts, trial aggregation, load sweeps.
+"""Monte Carlo harness: frame chunks, process pools, the reduction, load sweeps.
 
 Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
-Each frame reports integer counts: its decoder rounds, undecoded users and
-lost payload. Each worker simulates one contiguous chunk of frame indices,
-and a point concatenates the chunks' count arrays in frame-index order,
-derives every frame's throughput and loss ratio from them at once and
-reduces them in index order, which makes aggregates bit-identical no matter
-how the work was split. A load sweep takes the ``SystemConfig`` it sweeps:
-each load's users mix that config's code groups, weighted by their user
-counts, on its frame size and seed. Its result is one ``SweepResult``: that
-config and one ``TrialAggregate`` per realized load; a load too small for
-one user is logged as a warning and left out. Per-round curves are in
-``decoder``, analytic predictions and the Aloha curve in ``density``.
+Each frame reports integer counts (``decoder.frame_counts``): its decoder
+rounds, undecoded users and lost payload. Each worker process simulates one
+contiguous chunk of frame indices, and a point concatenates the chunks'
+count arrays in frame-index order, derives every frame's throughput and
+loss ratio from them at once and reduces them in index order, which makes
+aggregates bit-identical no matter how the work was split. A load sweep
+takes the ``SystemConfig`` it sweeps: each load's users mix that config's
+code groups, weighted by their user counts, on its frame size and seed. Its
+result is one ``SweepResult``: that config and one ``TrialAggregate`` per
+realized load; a load too small for one user is logged as a warning and
+left out. Per-round curves are in ``decoder``, analytic predictions and the
+Aloha curve in ``density``.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .decoder import _peel
-from .model import SystemConfig, UserCode, place_frame
+# the benchmark traces this name (ROADMAP item 1)
+from .decoder import frame_counts as _simulate_range
+from .model import SystemConfig, UserCode
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor, Future
@@ -71,27 +73,15 @@ def normalized_load(config: SystemConfig) -> float:
     return config.total_payload / config.ns
 
 
-def _simulate_range(config: SystemConfig, start: int, stop: int) -> np.ndarray:
-    """Simulate frame indices [start, stop). Returns an int64 (3, stop - start)
-    array whose rows hold each frame's productive decoder rounds, undecoded
-    users and payload bursts of those users (lost payload)."""
-    counts = np.empty((3, stop - start), dtype=np.int64)
-    rounds, undecoded_users, lost_payload = counts
-    thresholds = config.thresholds
-    for j in range(stop - start):
-        undecoded, _, _, rounds[j] = _peel(config, place_frame(config, start + j))
-        undecoded_users[j] = np.count_nonzero(undecoded)
-        lost_payload[j] = thresholds[undecoded].sum()
-    return counts
-
-
 def _process_count(workers: int, frames: int) -> int:
     """Processes to use: at most one per usable CPU and per frame.
 
     Usable CPUs are those this process may run on (its affinity set, where
     the platform reports one). The result does not depend on the count,
-    since frames are keyed by index.
+    since frames are keyed by index. Raises ValueError for ``workers < 1``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -203,9 +193,11 @@ def users_for_load(config: SystemConfig, g: float) -> tuple[tuple[UserCode, int]
     by its user count, in ``(UserCode, count)`` pairs in that order, and a
     code that gets no users is left out. The user count is round(ns * g /
     mean k); returns None when that count is below one, i.e. the load is not
-    realizable at this frame size, and raises ValueError when it is not
-    finite or exceeds ``sys.maxsize``.
+    realizable at this frame size, and raises ValueError for a negative g or
+    a count that is not finite or exceeds ``sys.maxsize``.
     """
+    if g < 0:
+        raise ValueError(f"load must be >= 0, got {g}")
     k_mean = config.total_payload / config.n_users
     exact = config.ns * g / k_mean
     if not exact <= sys.maxsize:  # also catches inf and nan

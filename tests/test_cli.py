@@ -550,7 +550,11 @@ class TestCommandLine:
         assert sum(": error: " in line for line in err) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0661", "+5"])
+    @pytest.mark.parametrize(
+        "value",
+        ["1_0", "\u0661\u0661", "+5", "7" * 700],
+        ids=lambda value: "700-digits" if len(value) == 700 else None,
+    )
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -571,8 +575,10 @@ class TestCommandLine:
             main(argv)
         assert exit_.value.code == 2
         err = capsys.readouterr().err.splitlines()
+        # text too long for any range gets the config file's short message
+        message = OUT_OF_RANGE if len(value) == 700 else f"invalid integer value: {value!r}"
         assert [line for line in err if ": error: " in line] == [
-            f"csasim {command[0]}: error: argument {flag}: invalid integer value: {value!r}"
+            f"csasim {command[0]}: error: argument {flag}: {message}"
         ]
         assert not out.exists()
 
@@ -1297,10 +1303,8 @@ def test_package_source_has_no_assert():
 
 
 def test_package_source_imports_no_private_name_across_modules():
-    # montecarlo's `_peel` import goes once the benchmark stops tracing `_peel`
-    # by name (ROADMAP item 1), the batched peel lands (item 2) and becomes
-    # public (item 6)
-    allowed = {("montecarlo.py", "decoder", "_peel")}
+    # none is allowed: montecarlo imports the public decoder.frame_counts as
+    # the `_simulate_range` the benchmark traces (ROADMAP item 1)
     package = Path(cli.__file__).resolve().parent
     found = [
         (path.name, node.module, alias.name)
@@ -1310,7 +1314,7 @@ def test_package_source_imports_no_private_name_across_modules():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert [entry for entry in found if entry not in allowed] == []
+    assert found == []
 
 
 class TestCsvFormatting:

@@ -23,7 +23,7 @@ from csasim import (
     sweep_load,
     users_for_load,
 )
-from csasim import montecarlo
+from csasim import decoder, montecarlo
 from csasim.decoder import _peel
 from csasim.montecarlo import _apportion
 from helpers import (
@@ -114,7 +114,7 @@ class TestNormalizedLoad:
 
 def one_frame(monkeypatch, config, placement):
     """Aggregate of a one-frame run_trials whose frame is ``placement``."""
-    monkeypatch.setattr(montecarlo, "place_frame", lambda config, frame_index: placement)
+    monkeypatch.setattr(decoder, "place_frame", lambda config, frame_index: placement)
     return run_trials(config, frames=1)
 
 
@@ -140,6 +140,10 @@ class TestFrameMetrics:
 
 
 class TestSimulateRange:
+    def test_is_the_decoder_frame_counts(self):
+        # montecarlo keeps no per-frame loop; the benchmark traces this name
+        assert montecarlo._simulate_range is decoder.frame_counts
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -225,6 +229,15 @@ class TestRunTrials:
     def test_rejects_zero_frames(self):
         with pytest.raises(ValueError):
             run_trials(homogeneous(4, 1, 1, 1), frames=0)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        # as the command line's --workers check does
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            run_trials(homogeneous(4, 1, 1, 1), frames=5, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            sweep_load(homogeneous(4, 1, 1, 1), [0.5], 5, workers=workers)
 
     def test_rejects_frames_above_maxsize_before_a_pool_starts(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
@@ -335,6 +348,13 @@ class TestSweepLoad:
         point = result.points[0]
         assert point.plr_mean <= 0.01
         assert point.t_mean == pytest.approx(point.g, abs=0.01)
+
+    def test_negative_load_raises_and_is_not_skipped(self, caplog):
+        with pytest.raises(ValueError, match=r"^load must be >= 0, got -0\.5$"):
+            sweep_load(homogeneous(20, 4, 2, 1), [-0.5, 0.4], frames=3)
+        assert caplog.record_tuples == []
+        with pytest.raises(ValueError, match=r"^load must be >= 0, got -1e-09$"):
+            users_for_load(homogeneous(20, 4, 2, 1), -1e-9)
 
     def test_all_unrealizable_raises(self):
         with pytest.raises(ValueError, match="no realizable"):
