@@ -1,19 +1,19 @@
-"""Monte Carlo harness: frame chunks, process pools, the reduction, load sweeps.
+"""Monte Carlo harness: frame blocks, process pools, the reduction, load sweeps.
 
 Frames are mutually independent and derive their randomness from
 (seed, frame_index) only, so trials can run on any number of workers.
 Each frame reports integer counts (``decoder.frame_counts``): its decoder
-rounds, undecoded users and lost payload. Each worker process simulates one
-contiguous chunk of frame indices, and a point concatenates the chunks'
-count arrays in frame-index order, derives every frame's throughput and
-loss ratio from them at once and reduces them in index order, which makes
-aggregates bit-identical no matter how the work was split. A load sweep
-takes the ``SystemConfig`` it sweeps: each load's users mix that config's
-code groups, weighted by their user counts, on its frame size and seed. Its
-result is one ``SweepResult``: that config and one ``TrialAggregate`` per
-realized load; a load too small for one user is logged as a warning and
-left out. Per-round curves are in ``decoder``, analytic predictions and the
-Aloha curve in ``density``.
+rounds, undecoded users and lost payload. A point's frames run in blocks of
+``BLOCK_FRAMES`` indices, whose bounds do not depend on the worker count; a
+point concatenates the blocks' count arrays in frame-index order, derives
+every frame's throughput and loss ratio from them at once and reduces them
+in index order, which makes aggregates bit-identical on any worker count. A
+load sweep takes the ``SystemConfig`` it sweeps: each load's users mix that
+config's code groups, weighted by their user counts, on its frame size and
+seed. Its result is one ``SweepResult``: that config and one
+``TrialAggregate`` per realized load; a load too small for one user is
+logged as a warning and left out. Per-round curves are in ``decoder``,
+analytic predictions and the Aloha curve in ``density``.
 """
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ import logging
 import math
 import os
 import sys
-from collections import namedtuple
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from collections import deque, namedtuple
+from contextlib import closing
+from itertools import chain, islice, starmap, tee
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,9 +33,13 @@ from .decoder import frame_counts as _simulate_range
 from .model import SystemConfig, UserCode
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
+
+# a constant, so block bounds never depend on the worker count; small enough
+# that a point of a few hundred frames still spreads over several workers
+BLOCK_FRAMES = 64
 
 
 class TrialAggregate(
@@ -115,19 +120,33 @@ def _start_pool(processes: int) -> Executor:
     return concurrent.futures.ProcessPoolExecutor(processes)
 
 
-def _queue_chunks(
-    pool: Executor, config: SystemConfig, frames: int, processes: int
-) -> list[Future]:
-    """Queue one point's frames on ``pool`` as ``processes`` contiguous chunks.
+def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Iterator[np.ndarray]:
+    """Count arrays of each point's blocks, point after point, in frame-index order.
 
-    The futures come back in frame-index order; the chunk bounds depend only
-    on ``frames`` and ``processes``.
+    A point's blocks are ``[start, min(start + BLOCK_FRAMES, frames))``. One
+    process runs them here; more run them on one pool that keeps at most
+    ``2 * processes`` blocks queued across points, so no worker idles between
+    them; if a block fails, the queued ones are cancelled.
     """
-    bounds = [frames * i // processes for i in range(processes + 1)]
-    return [
-        pool.submit(_simulate_range, config, start, stop)
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ]
+    blocks = (
+        (config, start, min(start + BLOCK_FRAMES, frames))
+        for config in configs
+        for start in range(0, frames, BLOCK_FRAMES)
+    )
+    if processes == 1:
+        yield from starmap(_simulate_range, blocks)
+        return
+    with _start_pool(processes) as pool:
+        try:
+            queued = deque()
+            for block in blocks:
+                queued.append(pool.submit(_simulate_range, *block))
+                if len(queued) == 2 * processes:
+                    yield queued.popleft().result()
+            while queued:
+                yield queued.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_trials(
@@ -135,26 +154,19 @@ def run_trials(
     frames: int,
     workers: int = 1,
     *,
-    chunks: Sequence[Future] | None = None,
+    chunks: Iterable[np.ndarray] | None = None,
 ) -> TrialAggregate:
     """Average throughput and loss ratio over ``frames`` independent placements.
 
-    ``chunks`` are this point's frames already queued on a sweep's pool (see
-    ``sweep_load``); their results are read here. Without them, more than one
-    process runs the chunks on a pool started for this call, and one process
-    simulates every frame in this one.
+    ``chunks`` are this point's block count arrays, taken from a sweep's
+    stream (see ``sweep_load``). Without them, the point streams its own
+    blocks, on a pool of up to ``workers`` processes started for this call.
     """
     _check_frames(frames)
-    if chunks is not None:
-        parts = [chunk.result() for chunk in chunks]
-    elif (processes := _process_count(workers, frames)) > 1:
-        with _start_pool(processes) as pool:
-            parts = [chunk.result() for chunk in _queue_chunks(pool, config, frames, processes)]
-    else:
-        parts = [_simulate_range(config, 0, frames)]
-    # chunks are keyed by frame index, so concatenation reproduces the
-    # single-pass counts
-    rounds, undecoded_users, lost_payload = np.concatenate(parts, axis=1)
+    if chunks is None:
+        chunks = _stream([config], frames, _process_count(workers, frames))
+    # blocks are keyed by frame index, so concatenation gives the one-pass counts
+    rounds, undecoded_users, lost_payload = np.concatenate([*chunks], axis=1)
     # counts below 2**53 are exact in float64, so each ratio is correctly rounded
     t = (config.total_payload - lost_payload) / config.ns
     plr = undecoded_users / config.n_users
@@ -196,7 +208,7 @@ def users_for_load(config: SystemConfig, g: float) -> tuple[tuple[UserCode, int]
     realizable at this frame size, and raises ValueError for a negative g or
     a count that is not finite or exceeds ``sys.maxsize``.
     """
-    if g < 0:
+    if not g >= 0:  # also catches nan
         raise ValueError(f"load must be >= 0, got {g}")
     k_mean = config.total_payload / config.n_users
     exact = config.ns * g / k_mean
@@ -228,34 +240,21 @@ def sweep_load(
     Each load's users mix ``config``'s codes as ``users_for_load`` does, on
     its frame size and seed. Unrealizable loads are skipped with a warning on
     the ``csasim.montecarlo`` logger; reported loads are the realized
-    sum(k_i) / ns, not the requested grid values. When more than one process
-    is used, all points share one pool, and the next point's chunks are
-    queued before the current point's results are read, so no worker idles
-    between points; at most two points are outstanding. If a point fails, the
-    chunks still queued are cancelled.
+    sum(k_i) / ns, not the requested grid values. Every point's blocks come
+    from one stream, so when more than one process is used, all points share
+    one pool, and the next point's blocks are queued while the current
+    point's are read; if a block fails, the blocks still queued are cancelled.
     """
     _check_frames(frames)
-    configs = _realizable(config, g_values)
+    streamed, configs = tee(_realizable(config, g_values))
     first = next(configs, None)
     if first is None:
         raise ValueError("no realizable load values in sweep")
-    points: list[TrialAggregate] = []
-    processes = _process_count(workers, frames)
-    with (_start_pool(processes) if processes > 1 else nullcontext()) as pool:
-
-        def queue(point: SystemConfig) -> Callable[[], TrialAggregate]:
-            """Queue a point's chunks now; the returned call reads its aggregate."""
-            chunks = None if pool is None else _queue_chunks(pool, point, frames, processes)
-            return lambda: run_trials(point, frames, workers, chunks=chunks)
-
-        try:
-            pending = queue(first)
-            for point in configs:
-                following = queue(point)
-                points.append(pending())
-                pending = following
-            points.append(pending())
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+    blocks = -(-frames // BLOCK_FRAMES)
+    with closing(_stream(streamed, frames, _process_count(workers, frames))) as stream:
+        points = [
+            run_trials(point, frames, chunks=islice(stream, blocks))
+            for point in chain([first], configs)
+        ]
+        next(stream, None)  # end the stream, so that its pool exits normally
     return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))

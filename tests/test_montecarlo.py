@@ -1,11 +1,12 @@
 import concurrent.futures
+import functools
 import logging
 import math
+import multiprocessing
 import os
 import random
 import sys
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,17 +47,21 @@ def two_to_three(ns, seed=0):
 SKIP_WARNING = ("csasim.montecarlo", logging.WARNING, "skipping G=0.01: load too small for one user")
 
 
-class LazyChunk:
-    """Future of a recording pool: the chunk runs when its result is read."""
+# the blocks of a 150-frame point: two full blocks and a partial one
+BLOCKS_150 = [(0, 64), (64, 128), (128, 150)]
+
+
+class LazyBlock:
+    """Future of a recording pool: the block runs when its result is read."""
 
     def __init__(self, pool, fn, args, fails):
         self.pool, self.fn, self.args, self.fails = pool, fn, args, fails
 
     def result(self):
-        config, start, _ = self.args
-        self.pool.log.append(("read", normalized_load(config), int(start)))
+        config, start, stop = self.args
+        self.pool.log.append(("read", normalized_load(config), start, stop))
         if self.fails:
-            raise MemoryError("chunk too large")
+            raise MemoryError("block too large")
         return self.fn(*self.args)
 
 
@@ -65,12 +70,13 @@ class RecordingPool:
 
     Class-level lists record each pool built (its worker count), each
     context exit (the exception type or None), each shutdown (its
-    ``cancel_futures``), and the order in which chunks are queued and read.
-    Reading the chunk queued ``failing_chunk``-th (from 1) raises.
+    ``cancel_futures``), and the order in which blocks are queued and read,
+    as ``(event, load, start, stop)``. Reading the block queued
+    ``failing_block``-th (from 1) raises.
     """
 
     built, closed, shutdowns, log = [], [], [], []
-    failing_chunk = None
+    failing_block = None
 
     def __init__(self, max_workers):
         self.built.append(max_workers)
@@ -86,9 +92,9 @@ class RecordingPool:
     def submit(self, fn, *args):
         assert fn is montecarlo._simulate_range  # looked up at call time
         self.submits += 1
-        config, start, _ = args
-        self.log.append(("queue", normalized_load(config), int(start)))
-        return LazyChunk(self, fn, args, self.submits == self.failing_chunk)
+        config, start, stop = args
+        self.log.append(("queue", normalized_load(config), start, stop))
+        return LazyBlock(self, fn, args, self.submits == self.failing_block)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         self.shutdowns.append(cancel_futures)
@@ -352,9 +358,13 @@ class TestSweepLoad:
     def test_negative_load_raises_and_is_not_skipped(self, caplog):
         with pytest.raises(ValueError, match=r"^load must be >= 0, got -0\.5$"):
             sweep_load(homogeneous(20, 4, 2, 1), [-0.5, 0.4], frames=3)
+        with pytest.raises(ValueError, match=r"^load must be >= 0, got nan$"):
+            sweep_load(homogeneous(20, 4, 2, 1), [math.nan, 0.4], frames=3)
         assert caplog.record_tuples == []
         with pytest.raises(ValueError, match=r"^load must be >= 0, got -1e-09$"):
             users_for_load(homogeneous(20, 4, 2, 1), -1e-9)
+        with pytest.raises(ValueError, match=r"^load must be >= 0, got nan$"):
+            users_for_load(homogeneous(20, 4, 2, 1), math.nan)
 
     def test_all_unrealizable_raises(self):
         with pytest.raises(ValueError, match="no realizable"):
@@ -372,52 +382,87 @@ class TestSweepLoad:
         assert built == [2]
 
         # a point failing inside the pool still shuts the pool down
-        recording_pool.failing_chunk = 3  # the second point's first chunk
+        recording_pool.failing_block = 2  # the second point's one block
         with pytest.raises(MemoryError):
             sweep(2)
         assert built == [2, 2] and closed == [None, MemoryError]
 
     SCHEDULED_LOADS = [0.2, 0.01, 0.4, 0.6, 0.8]  # 0.01 is below one user at ns=40
 
-    def scheduled_sweep(self, workers=2):
-        return sweep_load(two_to_three(40, seed=5), self.SCHEDULED_LOADS, 30, workers)
+    def scheduled_sweep(self, workers=2, frames=30):
+        return sweep_load(two_to_three(40, seed=5), self.SCHEDULED_LOADS, frames, workers)
 
     @staticmethod
-    def most_points_outstanding(log):
-        """Most points with a chunk queued and not yet read at any one time."""
-        unread, most = Counter(), 0
-        for event, g, _ in log:
-            unread[g] += 1 if event == "queue" else -1
-            most = max(most, sum(1 for count in unread.values() if count))
+    def most_blocks_queued(log):
+        """Most blocks queued and not yet read at any one time."""
+        unread = most = 0
+        for event, *_ in log:
+            unread += 1 if event == "queue" else -1
+            most = max(most, unread)
         return most
 
     def test_next_point_queued_before_current_is_read(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
-        result = self.scheduled_sweep()
+        result = self.scheduled_sweep(frames=150)
         log = recording_pool.log
         loads = [pt.g for pt in result.points]
-        assert [g for event, g, _ in log if event == "read"] == [g for g in loads for _ in "ab"]
+        # each point is read in frame-index order, on the range(0, frames, 64) block bounds
+        reads = [entry[1:] for entry in log if entry[0] == "read"]
+        assert reads == [(g, start, stop) for g in loads for start, stop in BLOCKS_150]
         for current, following in zip(loads, loads[1:]):
-            last_queue = max(i for i, (e, g, _) in enumerate(log) if (e, g) == ("queue", following))
-            first_read = min(i for i, (e, g, _) in enumerate(log) if (e, g) == ("read", current))
-            assert last_queue < first_read
-        # each point is read in frame-index order, on the frames * i // 2 chunk bounds
-        for g in loads:
-            assert [start for e, h, start in log if (e, h) == ("read", g)] == [0, 15]
-        assert self.most_points_outstanding(log) == 2
+            first_queue = min(i for i, (e, g, *_) in enumerate(log) if (e, g) == ("queue", following))
+            first_read = min(i for i, (e, g, *_) in enumerate(log) if (e, g) == ("read", current))
+            assert first_queue < first_read
+        # at most 2 * processes blocks are queued, across point boundaries
+        assert self.most_blocks_queued(log) == 4
         assert recording_pool.built == [2] and recording_pool.closed == [None]
 
     def test_failing_point_cancels_the_queued_one(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
-        recording_pool.failing_chunk = 3  # the second point's first chunk
+        recording_pool.failing_block = 4  # the second point's first block
         with pytest.raises(MemoryError):
-            self.scheduled_sweep()
-        reads = [g for event, g, _ in recording_pool.log if event == "read"]
-        queued = sorted({g for event, g, _ in recording_pool.log if event == "queue"})
-        # the third point was queued, then cancelled without being read
-        assert len(queued) == 3 and queued[2] not in reads
+            self.scheduled_sweep(frames=150)
+        queued = [entry[1:] for entry in recording_pool.log if entry[0] == "queue"]
+        reads = [entry[1:] for entry in recording_pool.log if entry[0] == "read"]
+        # reading stopped at the failing block; the three queued behind it, the
+        # third point's first among them, were cancelled without being read
+        assert reads == queued[:4] and len(queued) == 7
+        assert len({g for g, _, _ in queued}) == 3
         assert recording_pool.shutdowns == [True]
         assert recording_pool.closed == [MemoryError]
+
+    def test_block_bounds_do_not_depend_on_usable_cpus(self, monkeypatch, recording_pool):
+        in_process, run_block = [], montecarlo._simulate_range
+
+        def recorded(config, start, stop):
+            in_process.append((normalized_load(config), start, stop))
+            return run_block(config, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_simulate_range", recorded)
+        set_usable_cpus(monkeypatch, 1)
+        serial = self.scheduled_sweep(workers=3, frames=150)
+        sequences = [in_process.copy()]
+        for cpus in (2, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            recording_pool.log.clear()
+            assert self.scheduled_sweep(workers=3, frames=150) == serial
+            sequences.append([entry[1:] for entry in recording_pool.log if entry[0] == "read"])
+        assert recording_pool.built == [2, 3]
+        blocks = [(pt.g, start, stop) for pt in serial.points for start, stop in BLOCKS_150]
+        assert sequences == [blocks] * 3
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_same_points_under_every_start_method(self, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        set_usable_cpus(monkeypatch, 2)
+        assert self.scheduled_sweep(workers=2, frames=150) == self.scheduled_sweep(
+            workers=1, frames=150
+        )
 
     def test_all_unrealizable_starts_no_pool(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
