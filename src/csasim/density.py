@@ -195,8 +195,10 @@ def de_iterate(config: SystemConfig) -> DETrace:
 
 def aloha_baseline(g: float, variant: str) -> float:
     """Closed-form Aloha throughput at load g: G e^-G slotted, G e^-2G pure."""
-    if g < 0:
+    if not g >= 0:  # also catches nan
         raise ValueError(f"load must be >= 0, got {g}")
+    if g == math.inf:
+        raise ValueError(f"load must be finite, got {g}")
     if variant == "slotted":
         return g * math.exp(-g)
     if variant == "pure":

@@ -10,10 +10,11 @@ every frame's throughput and loss ratio from them at once and reduces them
 in index order, which makes aggregates bit-identical on any worker count. A
 load sweep takes the ``SystemConfig`` it sweeps: each load's users mix that
 config's code groups, weighted by their user counts, on its frame size and
-seed. Its result is one ``SweepResult``: that config and one
-``TrialAggregate`` per realized load; a load too small for one user is
-logged as a warning and left out. Per-round curves are in ``decoder``,
-analytic predictions and the Aloha curve in ``density``.
+seed, and every load is resolved before the first frame runs. Its result
+is one ``SweepResult``: that config and one ``TrialAggregate`` per realized
+load; a load too small for one user is logged as a warning and left out.
+Per-round curves are in ``decoder``, analytic predictions and the Aloha
+curve in ``density``.
 """
 from __future__ import annotations
 
@@ -23,17 +24,14 @@ import os
 import sys
 from collections import deque, namedtuple
 from contextlib import closing
-from itertools import chain, islice, starmap, tee
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import islice, starmap
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 # the benchmark traces this name (ROADMAP item 1)
 from .decoder import frame_counts as _simulate_range
 from .model import SystemConfig, UserCode
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
 
@@ -78,8 +76,9 @@ def normalized_load(config: SystemConfig) -> float:
     return config.total_payload / config.ns
 
 
-def _process_count(workers: int, frames: int) -> int:
-    """Processes to use: at most one per usable CPU and per frame.
+def _process_count(workers: int, blocks: int) -> int:
+    """Processes to use: at most one per usable CPU and per block the run
+    streams, so a run of one block starts no pool.
 
     Usable CPUs are those this process may run on (its affinity set, where
     the platform reports one). The result does not depend on the count,
@@ -91,7 +90,7 @@ def _process_count(workers: int, frames: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(workers, frames, cpus)
+    return min(workers, blocks, cpus)
 
 
 def _check_frames(frames: int) -> None:
@@ -106,18 +105,6 @@ def _check_frames(frames: int) -> None:
         np.empty((3, frames), dtype=np.int64)
     except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
         raise MemoryError(f"cannot hold the results of {frames} frames") from None
-
-
-def _start_pool(processes: int) -> Executor:
-    """A process pool of ``processes`` workers.
-
-    ``concurrent.futures`` is imported here, so a run that starts no pool
-    does not load it; its first ``ProcessPoolExecutor`` lookup loads
-    multiprocessing.
-    """
-    import concurrent.futures
-
-    return concurrent.futures.ProcessPoolExecutor(processes)
 
 
 def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Iterator[np.ndarray]:
@@ -136,7 +123,9 @@ def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Ite
     if processes == 1:
         yield from starmap(_simulate_range, blocks)
         return
-    with _start_pool(processes) as pool:
+    import concurrent.futures  # here, so a run that starts no pool does not load it
+
+    with concurrent.futures.ProcessPoolExecutor(processes) as pool:
         try:
             queued = deque()
             for block in blocks:
@@ -160,11 +149,11 @@ def run_trials(
 
     ``chunks`` are this point's block count arrays, taken from a sweep's
     stream (see ``sweep_load``). Without them, the point streams its own
-    blocks, on a pool of up to ``workers`` processes started for this call.
+    blocks, on up to ``workers`` processes (see ``_process_count``).
     """
     _check_frames(frames)
     if chunks is None:
-        chunks = _stream([config], frames, _process_count(workers, frames))
+        chunks = _stream([config], frames, _process_count(workers, -(-frames // BLOCK_FRAMES)))
     # blocks are keyed by frame index, so concatenation gives the one-pass counts
     rounds, undecoded_users, lost_payload = np.concatenate([*chunks], axis=1)
     # counts below 2**53 are exact in float64, so each ratio is correctly rounded
@@ -221,40 +210,39 @@ def users_for_load(config: SystemConfig, g: float) -> tuple[tuple[UserCode, int]
     return tuple((code, count) for (code, _), count in zip(config.code_groups, counts) if count)
 
 
-def _realizable(config: SystemConfig, g_values: Sequence[float]) -> Iterator[SystemConfig]:
-    """Configurations of the realizable loads, built one at a time; each
-    unrealizable load is logged as a warning and skipped."""
-    for g in g_values:
-        groups = users_for_load(config, g)
-        if groups is None:
-            logger.warning("skipping G=%g: load too small for one user", g)
-            continue
-        yield config._replace(groups=groups)
-
-
 def sweep_load(
     config: SystemConfig, g_values: Sequence[float], frames: int, workers: int = 1
 ) -> SweepResult:
     """Run one trial aggregate per requested load and locate the throughput peak.
 
     Each load's users mix ``config``'s codes as ``users_for_load`` does, on
-    its frame size and seed. Unrealizable loads are skipped with a warning on
-    the ``csasim.montecarlo`` logger; reported loads are the realized
-    sum(k_i) / ns, not the requested grid values. Every point's blocks come
-    from one stream, so when more than one process is used, all points share
-    one pool, and the next point's blocks are queued while the current
-    point's are read; if a block fails, the blocks still queued are cancelled.
+    its frame size and seed. Every load is resolved, in grid order, before
+    the first frame runs: a negative, NaN or too large load anywhere raises
+    first, and unrealizable loads are skipped with a warning on the
+    ``csasim.montecarlo`` logger. Reported loads are the realized sum(k_i) /
+    ns, not the requested grid values. Every point's blocks come from one
+    stream, so when more than one process is used, all points share one
+    pool, and the next point's blocks are queued while the current point's
+    are read; if a block fails, the blocks still queued are cancelled.
     """
     _check_frames(frames)
-    streamed, configs = tee(_realizable(config, g_values))
-    first = next(configs, None)
-    if first is None:
+    realized = []
+    for g in g_values:
+        groups = users_for_load(config, g)
+        if groups is None:
+            logger.warning("skipping G=%g: load too small for one user", g)
+        else:
+            realized.append(groups)
+    if not realized:
         raise ValueError("no realizable load values in sweep")
     blocks = -(-frames // BLOCK_FRAMES)
-    with closing(_stream(streamed, frames, _process_count(workers, frames))) as stream:
+    # built lazily, so a point's cached placement arrays go with its blocks
+    configs = (config._replace(groups=groups) for groups in realized)
+    processes = _process_count(workers, len(realized) * blocks)
+    with closing(_stream(configs, frames, processes)) as stream:
         points = [
-            run_trials(point, frames, chunks=islice(stream, blocks))
-            for point in chain([first], configs)
+            run_trials(config._replace(groups=groups), frames, chunks=islice(stream, blocks))
+            for groups in realized
         ]
         next(stream, None)  # end the stream, so that its pool exits normally
     return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))

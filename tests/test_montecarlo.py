@@ -211,9 +211,18 @@ class TestRunTrials:
     def test_workers_capped_at_cpu_count(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
         config = homogeneous(40, 3, 1, 12, seed=77)
-        capped = run_trials(config, frames=64, workers=64)
+        capped = run_trials(config, frames=640, workers=64)  # 10 blocks
         assert recording_pool.built == [2]
-        assert capped == run_trials(config, frames=64, workers=1)
+        assert capped == run_trials(config, frames=640, workers=1)
+
+    def test_one_block_starts_no_pool(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        config = homogeneous(40, 3, 1, 12, seed=77)
+        assert run_trials(config, frames=64, workers=2) == run_trials(config, frames=64, workers=1)
+        assert recording_pool.built == []
+        # a second block brings the pool
+        assert run_trials(config, frames=65, workers=2) == run_trials(config, frames=65, workers=1)
+        assert recording_pool.built == [2]
 
     def test_process_count_follows_affinity_then_cpu_count(self, monkeypatch):
         # two CPUs in the machine, one of them usable, as under `taskset -c 0`
@@ -370,6 +379,34 @@ class TestSweepLoad:
         with pytest.raises(ValueError, match="no realizable"):
             sweep_load(homogeneous(10, 4, 2, 1), [0.01], frames=10)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (-0.5, r"^load must be >= 0, got -0\.5$"),
+            (math.nan, r"^load must be >= 0, got nan$"),
+            (1e306, rf"^load G=1e\+306 needs 1e\+307 users, more than {sys.maxsize}$"),
+        ],
+        ids=["negative", "nan", "too-large"],
+    )
+    def test_bad_load_late_in_the_grid_raises_before_any_block(
+        self, monkeypatch, recording_pool, caplog, bad, message
+    ):
+        ran, run_block = [], montecarlo._simulate_range
+
+        def recorded(config, start, stop):
+            ran.append((normalized_load(config), start, stop))
+            return run_block(config, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_simulate_range", recorded)
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            caplog.clear()
+            with pytest.raises(ValueError, match=message):
+                sweep_load(homogeneous(20, 4, 2, 1), [0.4, 0.01, bad], frames=300, workers=2)
+            # the skip before the bad load is still logged
+            assert caplog.record_tuples == [SKIP_WARNING]
+        assert ran == [] and recording_pool.built == []
+
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         built, closed = recording_pool.built, recording_pool.closed
         set_usable_cpus(monkeypatch, 2)
@@ -464,6 +501,14 @@ class TestSweepLoad:
             workers=1, frames=150
         )
 
+    def test_one_block_point_starts_no_pool(self, monkeypatch, recording_pool):
+        set_usable_cpus(monkeypatch, 2)
+        config = homogeneous(40, 3, 1, 12, seed=77)
+        for frames in (1, 64):
+            one_point = lambda workers: sweep_load(config, [0.01, 0.3], frames, workers)
+            assert one_point(2) == one_point(1)
+        assert recording_pool.built == []
+
     def test_all_unrealizable_starts_no_pool(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="no realizable"):
@@ -518,6 +563,11 @@ class TestBaseline:
             aloha_baseline(-0.5, "slotted")
         with pytest.raises(ValueError):
             aloha_baseline(0.5, "csma")
+        # not numbers a load can be: each message names the load, as users_for_load's do
+        with pytest.raises(ValueError, match=r"^load must be >= 0, got nan$"):
+            aloha_baseline(math.nan, "slotted")
+        with pytest.raises(ValueError, match=r"^load must be finite, got inf$"):
+            aloha_baseline(math.inf, "pure")
 
 
 class TestRoundCurves:
