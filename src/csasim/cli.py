@@ -15,11 +15,11 @@ leading byte-order mark allowed. All behaviour is controlled by flags;
 environment variables, the locale too, are ignored so a command line fully
 reproduces a result.
 
-Exit status: 0 on success, 1 on bad input, an I/O error, an allocation
-that does not fit in memory or a worker process that died (one ``error:``
-line on stderr; ``--out`` is left as it was), 2 on a usage error (argparse;
-a flag's value of ``--``, as in ``--seed=--``, is one), 3 on an internal
-error, i.e. a bug (one ``error: internal:`` line).
+Exit status: 0 on success; 1 on bad input, an I/O error, an allocation
+that does not fit in memory or a dead worker (``ChildProcessError``, with
+the pool's message), as one ``error:`` line on stderr, ``--out`` left as
+it was; 2 on a usage error (argparse; so is a flag's value ``--``, as in
+``--seed=--``); 3 on an internal error, a bug (one ``error: internal:`` line).
 """
 from __future__ import annotations
 
@@ -109,14 +109,6 @@ def _run(args: argparse.Namespace) -> SweepResult | DETrace | DecodeTrace | Base
     return decode_frame(config, place_frame(config, args.frame_index))
 
 
-def _pool_failures() -> tuple[type[BaseException], ...]:
-    """The exception type of a pool whose worker died, if a pool could have
-    run: ``concurrent.futures`` is loaded only where a pool starts, and
-    without it no ``BrokenExecutor`` can have been raised."""
-    futures = sys.modules.get("concurrent.futures")
-    return () if futures is None else (futures.BrokenExecutor,)
-
-
 def integer(text: str) -> int:
     """``configfile.integer`` as a flag type, so integer text too long for any
     range gets the config file's short message, not an echo of its digits."""
@@ -181,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "g"):
             args.g = parse_g_spec(args.g)
         emit_csv(_run(args), args.out)
-    except (ValueError, OSError, *_pool_failures()) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -193,7 +193,9 @@ class FramePlacement(namedtuple("FramePlacement", "ns slot_of_burst degree_of_sl
 
         try:
             degree = np.bincount(slot_of_burst, minlength=ns)
-        except ValueError:  # a negative slot
+        except ValueError:  # a negative slot, or more slots than an index can address
+            if not np.any(np.less(slot_of_burst, 0)):
+                raise MemoryError(f"cannot hold the slot degrees of a frame of {ns} slots") from None
             degree = None
         if degree is None or degree.size > ns:  # or a slot at or above ns
             raise ValueError(f"slots must lie in [0, {ns})")

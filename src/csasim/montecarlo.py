@@ -1,20 +1,21 @@
 """Monte Carlo harness: frame blocks, process pools, the reduction, load sweeps.
 
-Frames are mutually independent and derive their randomness from
-(seed, frame_index) only, so trials can run on any number of workers.
-Each frame reports integer counts (``decoder.frame_counts``): its decoder
-rounds, undecoded users and lost payload. A point's frames run in blocks of
+Frames are mutually independent and derive their randomness from (seed,
+frame_index) only, so trials can run on any number of workers. Each frame
+reports integer counts (``decoder.frame_counts``): its decoder rounds,
+undecoded users and lost payload. A point's frames run in blocks of
 ``BLOCK_FRAMES`` indices, whose bounds do not depend on the worker count; a
 point concatenates the blocks' count arrays in frame-index order, derives
 every frame's throughput and loss ratio from them at once and reduces them
 in index order, which makes aggregates bit-identical on any worker count. A
-load sweep takes the ``SystemConfig`` it sweeps: each load's users mix that
-config's code groups, weighted by their user counts, on its frame size and
-seed, and every load is resolved before the first frame runs. Its result
-is one ``SweepResult``: that config and one ``TrialAggregate`` per realized
-load; a load too small for one user is logged as a warning and left out.
-Per-round curves are in ``decoder``, analytic predictions and the Aloha
-curve in ``density``.
+worker process that dies ends the run as ``ChildProcessError`` (an
+``OSError``), with the pool's message. A load sweep takes the
+``SystemConfig`` it sweeps: each load's users mix that config's code groups,
+weighted by their user counts, on its frame size and seed, and every load is
+resolved before the first frame runs. Its result is one ``SweepResult``:
+that config and one ``TrialAggregate`` per realized load; a load too small
+for one user is logged as a warning and left out. Per-round curves are in
+``decoder``, analytic predictions and the Aloha curve in ``density``.
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Ite
     A point's blocks are ``[start, min(start + BLOCK_FRAMES, frames))``. One
     process runs them here; more run them on one pool that keeps at most
     ``2 * processes`` blocks queued across points, so no worker idles between
-    them; if a block fails, the queued ones are cancelled.
+    them; if a block fails, the queued ones are cancelled, and the pool's
+    ``BrokenExecutor`` leaves as ``ChildProcessError``, chained to it.
     """
     blocks = (
         (config, start, min(start + BLOCK_FRAMES, frames))
@@ -125,17 +127,18 @@ def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Ite
         return
     import concurrent.futures  # here, so a run that starts no pool does not load it
 
-    with concurrent.futures.ProcessPoolExecutor(processes) as pool:
-        try:
-            queued = deque()
-            for block in blocks:
-                queued.append(pool.submit(_simulate_range, *block))
-                if len(queued) == 2 * processes:
-                    yield queued.popleft().result()
-            while queued:
+    pool, queued = concurrent.futures.ProcessPoolExecutor(processes), deque()
+    try:
+        for block in blocks:
+            queued.append(pool.submit(_simulate_range, *block))
+            if len(queued) == 2 * processes:
                 yield queued.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        while queued:
+            yield queued.popleft().result()
+    except concurrent.futures.BrokenExecutor as exc:  # a worker process died
+        raise ChildProcessError(str(exc)) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the workers to exit
 
 
 def run_trials(
@@ -148,14 +151,17 @@ def run_trials(
     """Average throughput and loss ratio over ``frames`` independent placements.
 
     ``chunks`` are this point's block count arrays, taken from a sweep's
-    stream (see ``sweep_load``). Without them, the point streams its own
-    blocks, on up to ``workers`` processes (see ``_process_count``).
+    stream (see ``sweep_load``); a frame total other than ``frames`` raises
+    ValueError. Without them, the point streams its own blocks, on up to
+    ``workers`` processes (see ``_process_count``).
     """
     _check_frames(frames)
     if chunks is None:
         chunks = _stream([config], frames, _process_count(workers, -(-frames // BLOCK_FRAMES)))
     # blocks are keyed by frame index, so concatenation gives the one-pass counts
     rounds, undecoded_users, lost_payload = np.concatenate([*chunks], axis=1)
+    if rounds.size != frames:
+        raise ValueError(f"chunks hold {rounds.size} frames, not {frames}")
     # counts below 2**53 are exact in float64, so each ratio is correctly rounded
     t = (config.total_payload - lost_payload) / config.ns
     plr = undecoded_users / config.n_users
@@ -244,5 +250,4 @@ def sweep_load(
             run_trials(config._replace(groups=groups), frames, chunks=islice(stream, blocks))
             for groups in realized
         ]
-        next(stream, None)  # end the stream, so that its pool exits normally
     return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))

@@ -9,10 +9,10 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -251,6 +251,112 @@ def test_flags_and_config_accept_the_same_integers(text):
         assert ("non-numeric value for 'seed'" in str(exc)) == (value is None)
     else:
         assert seed == value
+
+
+# text that has broken the input layer before: a 700-digit integer, digits
+# int() reads but the syntax refuses, a lone ``--``, Unicode blanks, line
+# ends that are not a config file's, and load grids that are no grid
+HUGE_DIGITS = "9" * 700
+BAD_INTEGERS = st.sampled_from(
+    ["-1", "0", HUGE_DIGITS, "-" + HUGE_DIGITS, "1_0", "+3", "\u0661", "\uff17", "", "--", "x"]
+)
+BAD_GRIDS = st.sampled_from(
+    ["0.01", "nan", "inf", "1e306", "-1", "", "a,b", "0.5:0.1:0.1", "0:1e308:1e-10", "1_0"]
+)
+
+
+def _mostly(draw, good, bad):
+    """A draw from ``good``, or one time in ten from ``bad``, so that many
+    cases hold no fault; it shrinks to ``good``."""
+    return draw(bad if draw(st.integers(0, 9)) == 9 else good)
+
+
+@st.composite
+def config_texts(draw) -> bytes:
+    """A config file, its values and text well-formed or, now and then, not:
+    junk lines, Unicode blanks, foreign line ends, a BOM, Latin-1 bytes."""
+
+    def small(low, high):
+        return _mostly(draw, st.integers(low, high).map(str), BAD_INTEGERS)
+
+    def blank():
+        return _mostly(draw, st.sampled_from(["", " ", "\t"]), st.sampled_from(["\u3000", "\xa0"]))
+
+    def group():
+        n = draw(st.integers(1, 4))
+        return f"{small(1, 12)}x({small(n, n)},{small(1, n)})"
+
+    lines = [
+        "ns=" + small(8, 40),
+        "users=" + blank().join(group() for _ in range(draw(st.integers(1, 3)))),
+    ]
+    if draw(st.booleans()):
+        lines.append("seed=" + small(0, 99))
+    for _ in range(draw(st.integers(0, 2))):
+        junk = st.sampled_from(["junk", "ns", "=4", "users="])
+        lines.append(_mostly(draw, st.sampled_from(["", "# caf\u00e9"]), junk))
+    end = _mostly(draw, st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["\x0b", "\u2028"]))
+    text = end.join(blank() + line + blank() for line in draw(st.permutations(lines))) + end
+    text = draw(st.sampled_from(["", "\ufeff"])) + text
+    return text.encode(_mostly(draw, st.just("utf-8"), st.just("latin-1")), errors="replace")
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command other than ``baseline``, without its ``--config`` and
+    ``--out``: flag values well-formed or, now and then, not, written as two
+    words or as ``--FLAG=VALUE``. Frame counts stay within one 64-frame
+    block, and only ``simulate``, one block long, may ask for two workers, so
+    no pool starts."""
+    command = draw(st.sampled_from(["de", "trace", "simulate", "sweep"]))
+    numbers = lambda low, high: st.integers(low, high).map(str)
+    flags = {}
+    if command == "trace":
+        flags["--frame-index"] = (numbers(0, 99), BAD_INTEGERS)
+    if command in ("simulate", "sweep"):
+        flags["--frames"] = (numbers(1, 64), BAD_INTEGERS)
+        flags["--seed"] = (numbers(0, 99), BAD_INTEGERS)
+        flags["--workers"] = (numbers(1, 2 if command == "simulate" else 1), BAD_INTEGERS)
+    if command == "sweep":
+        flags["--g"] = (st.sampled_from(["0.2,0.6", "0.1:0.5:0.2", "0.01,0.5"]), BAD_GRIDS)
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        if flag in ("--seed", "--workers") and draw(st.booleans()):
+            continue  # optional
+        value = _mostly(draw, good, bad)
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_lines(), config_texts())
+def test_every_command_line_exits_with_a_csv_or_one_error_line(argv, config_text):
+    with tempfile.TemporaryDirectory() as scratch:
+        config, out = Path(scratch, "exp.cfg"), Path(scratch, "out.csv")
+        config.write_bytes(config_text)
+        out.write_text("earlier\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--config", str(config), "--out", str(out)])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            header = {"de": DE_HEADER, "trace": TRACE_HEADER}.get(argv[0], SWEEP_HEADER)
+            assert out.read_text().splitlines()[0] == ",".join(header)
+            return
+        assert out.read_text() == "earlier\n"
+        if code == 1:
+            # a sweep prints a warning for each skipped load, as logged
+            *skipped, last = lines
+            assert last.startswith("error: ")
+            assert all(line.startswith("skipping G=") for line in skipped)
+        else:
+            assert code == 2
+            assert lines[-1].startswith(f"csasim {argv[0]}: error: ")
+            assert lines[0].startswith("usage: csasim ")
+            assert sum("error:" in line for line in lines) == 1
 
 
 @pytest.fixture
@@ -679,22 +785,31 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "command", [["simulate"], ["sweep", "--g", "0.2,0.4"]], ids=["simulate", "sweep"]
     )
-    def test_dead_worker_exits_1_with_one_line(
-        self, tmp_path, config_file, capsys, monkeypatch, command
-    ):
-        message = "A process in the process pool was terminated abruptly"
-
-        def worker_died(config, frames, workers=1, *, chunks=None):
-            raise BrokenProcessPool(message)
-
-        # simulate calls run_trials from cli; a sweep calls it per point
-        monkeypatch.setattr(montecarlo, "run_trials", worker_died)
+    def test_dead_worker_exits_1_with_one_line(self, tmp_path, config_file, command):
+        # a subprocess with two usable CPUs, whose every pool worker exits at
+        # its first block; 100 frames are two blocks a point, so a pool starts
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def die(config, start, stop): os._exit(1)\n"
+            "from csasim import montecarlo; montecarlo._simulate_range = die\n"
+            "from csasim.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
         out = tmp_path / "x.csv"
-        args = ["--config", str(config_file), "--frames", "20", "--workers", "2"]
-        code = main(command + args + ["--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        out.write_text("earlier\n")
+        flags = ["--config", str(config_file), "--frames", "100", "--workers", "2"]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *command, *flags, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            "error: A process in the process pool was terminated abruptly"
+        )
+        assert result.stderr.count("\n") == 1
+        assert out.read_text() == "earlier\n"
 
     @pytest.mark.parametrize("frames", [10**30, sys.maxsize], ids=["above-maxsize", "maxsize"])
     @pytest.mark.parametrize(
@@ -747,6 +862,24 @@ class TestCommandLine:
         assert result.returncode == 1
         assert result.stderr == (
             f"error: out of memory: cannot hold the placement arrays of {2**62} users\n"
+        )
+        assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("ns", [2**62, sys.maxsize], ids=["2**62", "maxsize"])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--frames", "1"], ["trace", "--frame-index", "0"]],
+        ids=["simulate", "trace"],
+    )
+    def test_huge_frame_exits_1_with_one_line(self, tmp_path, capsys, command, ns):
+        # one user fits, but no array holds the frame's slot degrees
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"ns={ns}\nusers=1x(1,1)\n")
+        out = tmp_path / "x.csv"
+        out.write_text("earlier\n")
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: out of memory: cannot hold the slot degrees of a frame of {ns} slots\n"
         )
         assert out.read_text() == "earlier\n"
 

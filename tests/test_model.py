@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from collections import Counter
 
@@ -240,6 +241,14 @@ class TestFramePlacement:
         assert moved.degree_of_slot.tolist() == [0, 0, 1, 3]
         with pytest.raises(ValueError, match="slots must lie in"):
             placement._replace(slot_of_burst=np.array([4]))
+
+    def test_frame_too_large_to_hold_is_out_of_memory(self):
+        ns = 2**62
+        with pytest.raises(MemoryError, match=f"slot degrees of a frame of {ns} slots"):
+            FramePlacement(ns, np.array([0]))
+        # a negative slot is still a bad slot, whatever the frame size
+        with pytest.raises(ValueError, match=re.escape(f"slots must lie in [0, {ns})")):
+            FramePlacement(ns, np.array([0, -1]))
 
     def test_compares_by_identity(self):
         a = FramePlacement(3, np.array([0, 2]))

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class LazyBlock:
         config, start, stop = self.args
         self.pool.log.append(("read", normalized_load(config), start, stop))
         if self.fails:
-            raise MemoryError("block too large")
+            raise self.pool.failure
         return self.fn(*self.args)
 
 
@@ -69,25 +70,18 @@ class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor.
 
     Class-level lists record each pool built (its worker count), each
-    context exit (the exception type or None), each shutdown (its
-    ``cancel_futures``), and the order in which blocks are queued and read,
-    as ``(event, load, start, stop)``. Reading the block queued
-    ``failing_block``-th (from 1) raises.
+    shutdown (its ``cancel_futures``), and the order in which blocks are
+    queued and read, as ``(event, load, start, stop)``. Reading the block
+    queued ``failing_block``-th (from 1) raises ``failure``.
     """
 
-    built, closed, shutdowns, log = [], [], [], []
+    built, shutdowns, log = [], [], []
     failing_block = None
+    failure = MemoryError("block too large")
 
     def __init__(self, max_workers):
         self.built.append(max_workers)
         self.submits = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.closed.append(exc[0])
-        return False
 
     def submit(self, fn, *args):
         assert fn is montecarlo._simulate_range  # looked up at call time
@@ -103,7 +97,7 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Patch ProcessPoolExecutor with a fresh RecordingPool class."""
-    pool = type("Pool", (RecordingPool,), {"built": [], "closed": [], "shutdowns": [], "log": []})
+    pool = type("Pool", (RecordingPool,), {"built": [], "shutdowns": [], "log": []})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return pool
 
@@ -263,6 +257,12 @@ class TestRunTrials:
             sweep_load(homogeneous(4, 1, 1, 1), [0.5], frames, workers=2)
         assert recording_pool.built == []
 
+    def test_chunks_must_hold_every_frame(self):
+        config = homogeneous(30, 3, 1, 8)
+        five_frames = montecarlo._simulate_range(config, 0, 5)
+        with pytest.raises(ValueError, match="chunks hold 5 frames, not 10"):
+            run_trials(config, 10, chunks=[five_frames])
+
     def test_frames_beyond_memory_name_the_count_before_a_pool_starts(
         self, monkeypatch, recording_pool
     ):
@@ -408,12 +408,12 @@ class TestSweepLoad:
         assert ran == [] and recording_pool.built == []
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
-        built, closed = recording_pool.built, recording_pool.closed
+        built, shutdowns = recording_pool.built, recording_pool.shutdowns
         set_usable_cpus(monkeypatch, 2)
         loads = [0.01, 0.2, 0.4, 0.6]
         sweep = lambda workers: sweep_load(two_to_three(40, seed=5), loads, 30, workers)
         shared = sweep(2)
-        assert built == [2] and closed == [None]
+        assert built == [2] and shutdowns == [True]
         assert len(shared.points) == 3
         assert shared == sweep(1)
         assert built == [2]
@@ -422,7 +422,7 @@ class TestSweepLoad:
         recording_pool.failing_block = 2  # the second point's one block
         with pytest.raises(MemoryError):
             sweep(2)
-        assert built == [2, 2] and closed == [None, MemoryError]
+        assert built == [2, 2] and shutdowns == [True, True]
 
     SCHEDULED_LOADS = [0.2, 0.01, 0.4, 0.6, 0.8]  # 0.01 is below one user at ns=40
 
@@ -452,7 +452,7 @@ class TestSweepLoad:
             assert first_queue < first_read
         # at most 2 * processes blocks are queued, across point boundaries
         assert self.most_blocks_queued(log) == 4
-        assert recording_pool.built == [2] and recording_pool.closed == [None]
+        assert recording_pool.built == [2] and recording_pool.shutdowns == [True]
 
     def test_failing_point_cancels_the_queued_one(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
@@ -466,7 +466,23 @@ class TestSweepLoad:
         assert reads == queued[:4] and len(queued) == 7
         assert len({g for g, _, _ in queued}) == 3
         assert recording_pool.shutdowns == [True]
-        assert recording_pool.closed == [MemoryError]
+
+    @pytest.mark.parametrize("run", ["run_trials", "sweep_load"])
+    def test_dead_worker_raises_child_process_error(self, monkeypatch, recording_pool, run):
+        set_usable_cpus(monkeypatch, 2)
+        message = "A process in the process pool was terminated abruptly"
+        recording_pool.failing_block = 2
+        recording_pool.failure = BrokenProcessPool(message)
+        config = homogeneous(40, 3, 1, 12, seed=77)
+        with pytest.raises(ChildProcessError) as raised:
+            if run == "run_trials":
+                run_trials(config, 300, workers=2)
+            else:
+                sweep_load(config, [0.2, 0.4], 150, workers=2)
+        assert str(raised.value) == message
+        assert raised.value.__cause__ is recording_pool.failure
+        # the blocks queued behind the dead worker's are cancelled
+        assert recording_pool.shutdowns == [True]
 
     def test_block_bounds_do_not_depend_on_usable_cpus(self, monkeypatch, recording_pool):
         in_process, run_block = [], montecarlo._simulate_range
