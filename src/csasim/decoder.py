@@ -14,11 +14,12 @@ its degree and the sum of the user indices still in it, so a slot of degree
 and credits one clean burst to the owner of each slot whose degree just fell
 to 1; no round rescans every burst of the frame.
 
-Traces and round curves replay the per-round masks of decoded users that
-peeling returns, counting the bursts left: a round's collided fraction is
-those bursts less the slots of degree 1, over those bursts. The fixpoint's
-erasure fraction is above 0 exactly when the frame deadlocked. Monte Carlo
-counts (``frame_counts``) read each frame's undecoded mask and round count.
+Traces and round curves peel their frames side by side, as one frame: they
+share no slot, and peeling acts on each connected component alone, so each
+round of it is that round of every frame. Replaying the per-round masks, a
+round's collided fraction is a frame's bursts left less its slots of degree
+1, over those bursts, and at the fixpoint it is above 0 exactly when the
+frame deadlocked. Monte Carlo counts (``frame_counts``) peel frame by frame.
 """
 from __future__ import annotations
 
@@ -27,6 +28,10 @@ from collections import namedtuple
 import numpy as np
 
 from .model import FramePlacement, InternalError, SystemConfig, place_frame
+
+# frames per block of counts or of round curves: a constant, so block bounds
+# never depend on the worker count; small, so a short point spreads over workers
+BLOCK_FRAMES = 64
 
 
 class RoundRecord(namedtuple("RoundRecord", "newly_decoded p_empirical q_empirical")):
@@ -97,24 +102,27 @@ def _peel(
     return undecoded, decoded_by_round, degree, len(decoded_by_round)
 
 
-def _rounds(config: SystemConfig, placement: FramePlacement) -> tuple[list[np.ndarray], np.ndarray]:
-    """Peel a frame and replay its rounds; returns each productive round's
-    mask of the users it decodes and a (2, rounds + 1) array of each round's
-    collided fraction before it and undecoded fraction after it; the last
-    column holds both at the fixpoint."""
-    decoded_by_round = _peel(config, placement)[1]
-    degree = placement.degree_of_slot.copy()
-    remaining, undecoded = config.total_bursts, config.n_users  # bursts, users
-    stats = np.empty((2, len(decoded_by_round) + 1))
+def _rounds(config: SystemConfig, placements: list[FramePlacement]) -> tuple[list, np.ndarray]:
+    """Peel frames side by side and replay the rounds; returns each productive
+    round's mask of the users it decodes, frame after frame, and a (2, frames,
+    rounds + 1) array of each frame's collided fraction before each round and
+    undecoded fraction after it, which from its fixpoint on holds both there."""
+    frames, ns = len(placements), config.ns
+    wide = config._replace(ns=frames * ns, groups=config.groups * frames)
+    slots = np.stack([p.slot_of_burst for p in placements]) + ns * np.arange(frames)[:, None]
+    placement = FramePlacement(frames * ns, slots.ravel())
+    decoded_by_round = _peel(wide, placement)[1]
+    degree, undecoded = placement.degree_of_slot.reshape(frames, ns).copy(), np.full(frames, config.n_users)
+    stats = np.empty((2, frames, len(decoded_by_round) + 1))
     for l, decoded in enumerate([*decoded_by_round, None]):
+        remaining = degree.sum(axis=1)  # bursts of each frame's undecoded users
         # a slot of degree 1 holds the one clean burst of its owner
-        stats[0, l] = (remaining - np.count_nonzero(degree == 1)) / remaining if remaining else 0.0
+        stats[0, :, l] = (remaining - (degree == 1).sum(axis=1)) / np.maximum(remaining, 1)
         if decoded is not None:
-            hit_slots = placement.slot_of_burst[decoded[config.user_of_burst]]
-            degree -= np.bincount(hit_slots, minlength=config.ns)
-            remaining -= hit_slots.size
-            undecoded -= np.count_nonzero(decoded)
-        stats[1, l] = undecoded / config.n_users
+            hit_slots = placement.slot_of_burst[decoded[wide.user_of_burst]]
+            degree -= np.bincount(hit_slots, minlength=frames * ns).reshape(frames, ns)
+            undecoded -= decoded.reshape(frames, -1).sum(axis=1)
+        stats[1, :, l] = undecoded / config.n_users
     return decoded_by_round, stats
 
 
@@ -138,8 +146,8 @@ def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace
         raise ValueError("placement does not match config")
     if np.unique(config.user_of_burst * config.ns + placement.slot_of_burst).size < config.total_bursts:
         raise ValueError("a user's bursts must lie in distinct slots")
-    decoded_by_round, stats = _rounds(config, placement)
-    p, q = stats.tolist()
+    decoded_by_round, stats = _rounds(config, [placement])
+    p, q = stats[:, 0].tolist()
     newly_decoded = [frozenset(np.flatnonzero(d).tolist()) for d in decoded_by_round]
     # map stops at the last round, before the fixpoint column
     return DecodeTrace(tuple(map(RoundRecord, newly_decoded, p, q)), final_p=p[-1])
@@ -154,8 +162,10 @@ def empirical_round_curves(
     if frames < 1 or num_rounds < 0:
         raise ValueError(f"need frames >= 1 and num_rounds >= 0, got {frames} and {num_rounds}")
     sums = np.zeros((2, num_rounds))
-    for frame_index in range(frames):
-        stats = _rounds(config, place_frame(config, frame_index))[1]
-        # rounds past the fixpoint read its column
-        sums += stats[:, np.minimum(np.arange(num_rounds), stats.shape[1] - 1)]
+    for start in range(0, frames, BLOCK_FRAMES):
+        block = range(start, min(start + BLOCK_FRAMES, frames))
+        stats = _rounds(config, [place_frame(config, j) for j in block])[1]
+        # rounds past the fixpoint read its column; frames add in index order
+        for frame_stats in stats.swapaxes(0, 1):
+            sums += frame_stats[:, np.minimum(np.arange(num_rounds), stats.shape[2] - 1)]
     return sums[0] / frames, sums[1] / frames

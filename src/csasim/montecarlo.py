@@ -31,14 +31,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # the benchmark traces this name (ROADMAP item 1)
-from .decoder import frame_counts as _simulate_range
+from .decoder import BLOCK_FRAMES, frame_counts as _simulate_range
 from .model import SystemConfig, UserCode
 
 logger = logging.getLogger(__name__)
-
-# a constant, so block bounds never depend on the worker count; small enough
-# that a point of a few hundred frames still spreads over several workers
-BLOCK_FRAMES = 64
 
 
 class TrialAggregate(

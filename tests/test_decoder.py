@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csasim import (
     FramePlacement,
@@ -10,7 +12,7 @@ from csasim import (
     decode_frame,
     place_frame,
 )
-from csasim.decoder import _peel
+from csasim.decoder import _peel, frame_counts
 from helpers import (
     collided_share,
     make_placement,
@@ -209,6 +211,43 @@ class TestDecodeFrame:
         placement = make_placement(5, [[0, 1]])
         with pytest.raises(ValueError, match="does not match"):
             decode_frame(config, placement)
+
+
+@st.composite
+def small_mixtures(draw):
+    """Up to 3 code groups of up to 3 users each on a frame of up to 10 slots;
+    a code may repeat after another."""
+    ns = draw(st.integers(1, 10))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, ns))
+        groups.append((UserCode(n, draw(st.integers(1, n))), draw(st.integers(1, 3))))
+    return SystemConfig(ns=ns, groups=groups, seed=draw(st.integers(0, 2**32)))
+
+
+class TestFramesSideBySide:
+    @given(small_mixtures(), st.integers(0, 50), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_peel_as_each_frame_alone(self, config, start, frames):
+        # frames laid side by side share no slot, so one peel of the wide
+        # frame is each frame's own peel, round by round
+        ns, nu = config.ns, config.n_users
+        placements = [place_frame(config, start + j) for j in range(frames)]
+        wide = config._replace(ns=frames * ns, groups=config.groups * frames)
+        slots = np.concatenate([p.slot_of_burst + j * ns for j, p in enumerate(placements)])
+        undecoded, by_round, _, n_rounds = _peel(wide, FramePlacement(frames * ns, slots))
+        counts = frame_counts(config, start, start + frames)
+        for j, placement in enumerate(placements):
+            alone, alone_by_round, _, alone_rounds = _peel(config, placement)
+            own = slice(j * nu, (j + 1) * nu)
+            assert np.array_equal(undecoded[own], alone)
+            masks = [mask[own] for mask in by_round]
+            assert sum(mask.any() for mask in masks) == alone_rounds
+            assert all(map(np.array_equal, masks, alone_by_round))
+            assert not any(mask.any() for mask in masks[alone_rounds:])
+            lost = config.thresholds[undecoded[own]].sum()
+            assert counts[:, j].tolist() == [alone_rounds, np.count_nonzero(undecoded[own]), lost]
+        assert n_rounds == max(counts[0])
 
 
 def empirical_p0(config, placement):

@@ -586,6 +586,33 @@ class TestBaseline:
             aloha_baseline(math.inf, "pure")
 
 
+# users=1x(3,1) 2x(3,2) 1x(2,1) 1x(3,1): a code repeated after other codes
+INTERLEAVED = [((3, 1), 1), ((3, 2), 2), ((2, 1), 1), ((3, 1), 1)]
+
+
+def matches_decode_frame_past_the_fixpoint(config, frames):
+    """Curves over ``frames`` frames equal the mean of their traces, a frame's
+    fixpoint values carried past its last round; p bit for bit."""
+    num_rounds = config.n_users + 1  # above any frame's rounds
+    p, q = empirical_round_curves(config, frames=frames, num_rounds=num_rounds)
+    p_sum, q_sum = np.zeros(num_rounds), np.zeros(num_rounds)
+    deadlocked = 0
+    for j in range(frames):
+        trace = decode_frame(config, place_frame(config, j))
+        final_q = 1.0 - len(trace.decoded_users) / config.n_users
+        p_sum += [r.p_empirical for r in trace.rounds] + [trace.final_p] * (
+            num_rounds - len(trace.rounds)
+        )
+        q_sum += [r.q_empirical for r in trace.rounds] + [final_q] * (
+            num_rounds - len(trace.rounds)
+        )
+        deadlocked += trace.final_p > 0
+    # one frame cannot both deadlock and decode
+    assert frames == 1 or 0 < deadlocked < frames
+    assert np.array_equal(p, p_sum / frames)
+    np.testing.assert_allclose(q, q_sum / frames, rtol=0, atol=1e-15)
+
+
 class TestRoundCurves:
     def test_single_user_all_zero(self):
         p, q = empirical_round_curves(homogeneous(10, 3, 1, 1), frames=20, num_rounds=4)
@@ -600,24 +627,36 @@ class TestRoundCurves:
         assert q[-1] == pytest.approx(agg.plr_mean, abs=1e-12)
 
     def test_matches_decode_frame_past_the_fixpoint(self):
+        matches_decode_frame_past_the_fixpoint(homogeneous(20, 3, 1, 12, seed=5), frames=300)
+
+    @pytest.mark.parametrize(
+        "config, frames",
+        [
+            # a block's frames peel side by side: one frame, a block's edges
+            # and a partial block after two full ones
+            *[(homogeneous(20, 3, 1, 12, seed=5), frames) for frames in (1, 63, 64, 65, 130)],
+            # the mixture of MC_PINNED's interleaved pins
+            (SystemConfig(12, [(UserCode(*c), m) for c, m in INTERLEAVED], seed=5), 130),
+        ],
+        ids=["1", "63", "64", "65", "130", "interleaved-130"],
+    )
+    def test_matches_decode_frame_across_block_edges(self, config, frames):
+        matches_decode_frame_past_the_fixpoint(config, frames)
+
+    @pytest.mark.parametrize("frames", [1, 64, 65, 130])
+    def test_peels_once_per_block(self, monkeypatch, frames):
+        calls = []
+        peel = decoder._peel
+        monkeypatch.setattr(decoder, "_peel", lambda *args: calls.append(args) or peel(*args))
         config = homogeneous(20, 3, 1, 12, seed=5)
-        frames, num_rounds = 300, config.n_users + 1  # above any frame's rounds
-        p, q = empirical_round_curves(config, frames=frames, num_rounds=num_rounds)
-        p_sum, q_sum = np.zeros(num_rounds), np.zeros(num_rounds)
-        deadlocked = 0
-        for j in range(frames):
-            trace = decode_frame(config, place_frame(config, j))
-            final_q = 1.0 - len(trace.decoded_users) / config.n_users
-            p_sum += [r.p_empirical for r in trace.rounds] + [trace.final_p] * (
-                num_rounds - len(trace.rounds)
-            )
-            q_sum += [r.q_empirical for r in trace.rounds] + [final_q] * (
-                num_rounds - len(trace.rounds)
-            )
-            deadlocked += trace.final_p > 0
-        assert 0 < deadlocked < frames
-        assert np.array_equal(p, p_sum / frames)
-        np.testing.assert_allclose(q, q_sum / frames, rtol=0, atol=1e-15)
+        empirical_round_curves(config, frames=frames, num_rounds=3)
+        assert len(calls) == -(-frames // decoder.BLOCK_FRAMES)
+        calls.clear()
+        decode_frame(config, place_frame(config, 0))
+        assert len(calls) == 1
+        calls.clear()
+        decoder.frame_counts(config, 0, frames)
+        assert len(calls) == frames
 
     @pytest.mark.parametrize("frames, num_rounds", [(0, 4), (-3, 4), (5, -1)])
     def test_rejects_bad_arguments(self, frames, num_rounds):
