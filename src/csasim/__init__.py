@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "configfile": ("ConfigError", "parse_config", "render_config"),
     "csvio": ("emit_csv",),
-    "decoder": ("DecodeTrace", "RoundRecord", "decode_frame", "empirical_round_curves"),
+    "decoder": ("DecodeTrace", "RoundRecord", "decode_frame"),
     "density": (
         "BaselineCurve",
         "DEState",
@@ -36,6 +36,7 @@ _EXPORTS = {
     "montecarlo": (
         "SweepResult",
         "TrialAggregate",
+        "empirical_round_curves",
         "normalized_load",
         "run_trials",
         "sweep_load",

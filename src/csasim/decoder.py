@@ -1,4 +1,4 @@
-"""Iterative interference-cancellation decoding: all of the per-frame work.
+"""Iterative interference-cancellation decoding: per-frame and per-block work.
 
 The receiver peels the user/slot graph in synchronous rounds: every user that
 currently has at least k clean bursts is decoded, all n of its bursts are
@@ -14,7 +14,7 @@ its degree and the sum of the user indices still in it, so a slot of degree
 and credits one clean burst to the owner of each slot whose degree just fell
 to 1; no round rescans every burst of the frame.
 
-Traces and round curves peel their frames side by side, as one frame: they
+Traces and round statistics peel frames side by side, as one frame: they
 share no slot, and peeling acts on each connected component alone, so each
 round of it is that round of every frame. Replaying the per-round masks, a
 round's collided fraction is a frame's bursts left less its slots of degree
@@ -28,10 +28,6 @@ from collections import namedtuple
 import numpy as np
 
 from .model import FramePlacement, InternalError, SystemConfig, place_frame
-
-# frames per block of counts or of round curves: a constant, so block bounds
-# never depend on the worker count; small, so a short point spreads over workers
-BLOCK_FRAMES = 64
 
 
 class RoundRecord(namedtuple("RoundRecord", "newly_decoded p_empirical q_empirical")):
@@ -140,6 +136,11 @@ def frame_counts(config: SystemConfig, start: int, stop: int) -> np.ndarray:
     return counts
 
 
+def round_stats(config: SystemConfig, start: int, stop: int) -> np.ndarray:
+    """Frames [start, stop), placed and peeled side by side: their ``_rounds`` stats."""
+    return _rounds(config, [place_frame(config, j) for j in range(start, stop)])[1]
+
+
 def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace:
     """Peel one frame to its fixpoint and record per-round statistics."""
     if placement.ns != config.ns or placement.slot_of_burst.size != config.total_bursts:
@@ -151,21 +152,3 @@ def decode_frame(config: SystemConfig, placement: FramePlacement) -> DecodeTrace
     newly_decoded = [frozenset(np.flatnonzero(d).tolist()) for d in decoded_by_round]
     # map stops at the last round, before the fixpoint column
     return DecodeTrace(tuple(map(RoundRecord, newly_decoded, p, q)), final_p=p[-1])
-
-
-def empirical_round_curves(
-    config: SystemConfig, frames: int, num_rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round means of the decoder's (p, q) over frames 0 .. frames - 1; a
-    frame adds its fixpoint values to the rounds after its last one, as a
-    decoder that keeps iterating without progress would."""
-    if frames < 1 or num_rounds < 0:
-        raise ValueError(f"need frames >= 1 and num_rounds >= 0, got {frames} and {num_rounds}")
-    sums = np.zeros((2, num_rounds))
-    for start in range(0, frames, BLOCK_FRAMES):
-        block = range(start, min(start + BLOCK_FRAMES, frames))
-        stats = _rounds(config, [place_frame(config, j) for j in block])[1]
-        # rounds past the fixpoint read its column; frames add in index order
-        for frame_stats in stats.swapaxes(0, 1):
-            sums += frame_stats[:, np.minimum(np.arange(num_rounds), stats.shape[2] - 1)]
-    return sums[0] / frames, sums[1] / frames

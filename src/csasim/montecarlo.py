@@ -1,4 +1,4 @@
-"""Monte Carlo harness: frame blocks, process pools, the reduction, load sweeps.
+"""Monte Carlo harness: frame blocks, process pools, the reductions, load sweeps.
 
 Frames are mutually independent and derive their randomness from (seed,
 frame_index) only, so trials can run on any number of workers. Each frame
@@ -14,8 +14,8 @@ worker process that dies ends the run as ``ChildProcessError`` (an
 weighted by their user counts, on its frame size and seed, and every load is
 resolved before the first frame runs. Its result is one ``SweepResult``:
 that config and one ``TrialAggregate`` per realized load; a load too small
-for one user is logged as a warning and left out. Per-round curves are in
-``decoder``, analytic predictions and the Aloha curve in ``density``.
+for one user is logged as a warning and left out. Per-round curves stream
+blocks of ``decoder.round_stats``; the analytic ones are in ``density``.
 """
 from __future__ import annotations
 
@@ -26,15 +26,19 @@ import sys
 from collections import deque, namedtuple
 from contextlib import closing
 from itertools import islice, starmap
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 # the benchmark traces this name (ROADMAP item 1)
-from .decoder import BLOCK_FRAMES, frame_counts as _simulate_range
+from .decoder import frame_counts as _simulate_range, round_stats
 from .model import SystemConfig, UserCode
 
 logger = logging.getLogger(__name__)
+
+# frames per block of counts or of round curves: a constant, so block bounds
+# never depend on the worker count; small, so a short point spreads over workers
+BLOCK_FRAMES = 64
 
 
 class TrialAggregate(
@@ -104,14 +108,14 @@ def _check_frames(frames: int) -> None:
         raise MemoryError(f"cannot hold the results of {frames} frames") from None
 
 
-def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Iterator[np.ndarray]:
-    """Count arrays of each point's blocks, point after point, in frame-index order.
-
-    A point's blocks are ``[start, min(start + BLOCK_FRAMES, frames))``. One
-    process runs them here; more run them on one pool that keeps at most
-    ``2 * processes`` blocks queued across points, so no worker idles between
-    them; if a block fails, the queued ones are cancelled, and the pool's
-    ``BrokenExecutor`` leaves as ``ChildProcessError``, chained to it.
+def _stream(
+    block: Callable[..., np.ndarray], configs: Iterable[SystemConfig], frames: int, processes: int
+) -> Iterator[np.ndarray]:
+    """``block(config, start, stop)`` of each point's blocks, point after point,
+    in index order. One process runs them here; more run them on one pool that
+    keeps at most ``2 * processes`` blocks queued across points, so no worker
+    idles between them; if a block fails, the queued ones are cancelled, and the
+    pool's ``BrokenExecutor`` leaves as ``ChildProcessError``, chained to it.
     """
     blocks = (
         (config, start, min(start + BLOCK_FRAMES, frames))
@@ -119,14 +123,14 @@ def _stream(configs: Iterable[SystemConfig], frames: int, processes: int) -> Ite
         for start in range(0, frames, BLOCK_FRAMES)
     )
     if processes == 1:
-        yield from starmap(_simulate_range, blocks)
+        yield from starmap(block, blocks)
         return
     import concurrent.futures  # here, so a run that starts no pool does not load it
 
     pool, queued = concurrent.futures.ProcessPoolExecutor(processes), deque()
     try:
-        for block in blocks:
-            queued.append(pool.submit(_simulate_range, *block))
+        for bounds in blocks:
+            queued.append(pool.submit(block, *bounds))
             if len(queued) == 2 * processes:
                 yield queued.popleft().result()
         while queued:
@@ -152,8 +156,9 @@ def run_trials(
     ``workers`` processes (see ``_process_count``).
     """
     _check_frames(frames)
+    processes = _process_count(workers, -(-frames // BLOCK_FRAMES))
     if chunks is None:
-        chunks = _stream([config], frames, _process_count(workers, -(-frames // BLOCK_FRAMES)))
+        chunks = _stream(_simulate_range, [config], frames, processes)
     # blocks are keyed by frame index, so concatenation gives the one-pass counts
     rounds, undecoded_users, lost_payload = np.concatenate([*chunks], axis=1)
     if rounds.size != frames:
@@ -241,9 +246,25 @@ def sweep_load(
     # built lazily, so a point's cached placement arrays go with its blocks
     configs = (config._replace(groups=groups) for groups in realized)
     processes = _process_count(workers, len(realized) * blocks)
-    with closing(_stream(configs, frames, processes)) as stream:
+    with closing(_stream(_simulate_range, configs, frames, processes)) as stream:
         points = [
             run_trials(config._replace(groups=groups), frames, chunks=islice(stream, blocks))
             for groups in realized
         ]
     return SweepResult(config, tuple(sorted(points, key=lambda pt: pt.g)))
+
+
+def empirical_round_curves(
+    config: SystemConfig, frames: int, num_rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round means of the decoder's (p, q) over frames 0 .. frames - 1; a
+    frame adds its fixpoint values to the rounds after its last one, as a
+    decoder that keeps iterating without progress would."""
+    if frames < 1 or num_rounds < 0:
+        raise ValueError(f"need frames >= 1 and num_rounds >= 0, got {frames} and {num_rounds}")
+    sums = np.zeros((2, num_rounds))
+    for stats in _stream(round_stats, [config], frames, 1):
+        # rounds past the fixpoint read its column; frames add in index order
+        for frame_stats in stats.swapaxes(0, 1):
+            sums += frame_stats[:, np.minimum(np.arange(num_rounds), stats.shape[2] - 1)]
+    return sums[0] / frames, sums[1] / frames

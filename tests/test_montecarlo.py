@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import hashlib
 import logging
 import math
 import multiprocessing
@@ -243,10 +244,14 @@ class TestRunTrials:
     def test_rejects_workers_below_one(self, workers):
         # as the command line's --workers check does
         message = f"workers must be >= 1, got {workers}"
+        config = homogeneous(4, 1, 1, 1)
         with pytest.raises(ValueError, match=message):
-            run_trials(homogeneous(4, 1, 1, 1), frames=5, workers=workers)
+            run_trials(config, frames=5, workers=workers)
+        # also when the point's blocks are handed in
         with pytest.raises(ValueError, match=message):
-            sweep_load(homogeneous(4, 1, 1, 1), [0.5], 5, workers=workers)
+            run_trials(config, frames=5, workers=workers, chunks=[decoder.frame_counts(config, 0, 5)])
+        with pytest.raises(ValueError, match=message):
+            sweep_load(config, [0.5], 5, workers=workers)
 
     def test_rejects_frames_above_maxsize_before_a_pool_starts(self, monkeypatch, recording_pool):
         set_usable_cpus(monkeypatch, 2)
@@ -643,20 +648,48 @@ class TestRoundCurves:
     def test_matches_decode_frame_across_block_edges(self, config, frames):
         matches_decode_frame_past_the_fixpoint(config, frames)
 
+    def test_bits_pinned(self):
+        # sha256 of p and q; a change to how curves are placed, peeled or
+        # summed must leave these bits as they are
+        digests = [
+            "f721b4112e234ff97d2b1b7319925b29aaa9dae4b46aa7fbab68225615e8d438",
+            "d2099887354dd13471832cce1732851cae74788796304fc921626e2ac7ecab3c",
+        ]
+        configs = [
+            homogeneous(20, 3, 1, 12, seed=5),
+            SystemConfig(12, [(UserCode(*c), m) for c, m in INTERLEAVED], seed=5),
+        ]
+        for config, digest in zip(configs, digests):
+            p, q = empirical_round_curves(config, frames=130, num_rounds=config.n_users + 1)
+            assert hashlib.sha256(p.tobytes() + q.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("frames", [1, 64, 65, 130])
     def test_peels_once_per_block(self, monkeypatch, frames):
-        calls = []
+        calls, bounds = [], {"round_stats": [], "_simulate_range": []}
         peel = decoder._peel
         monkeypatch.setattr(decoder, "_peel", lambda *args: calls.append(args) or peel(*args))
+        for name, seen in bounds.items():
+            block = getattr(montecarlo, name)
+
+            def recorded(config, start, stop, block=block, seen=seen):
+                seen.append((start, stop))
+                return block(config, start, stop)
+
+            monkeypatch.setattr(montecarlo, name, recorded)
         config = homogeneous(20, 3, 1, 12, seed=5)
         empirical_round_curves(config, frames=frames, num_rounds=3)
-        assert len(calls) == -(-frames // decoder.BLOCK_FRAMES)
+        assert len(calls) == -(-frames // montecarlo.BLOCK_FRAMES)
         calls.clear()
         decode_frame(config, place_frame(config, 0))
         assert len(calls) == 1
         calls.clear()
         decoder.frame_counts(config, 0, frames)
         assert len(calls) == frames
+        # the curves and the counts run the same blocks of the one stream
+        run_trials(config, frames)
+        size = montecarlo.BLOCK_FRAMES
+        blocks = [(start, min(start + size, frames)) for start in range(0, frames, size)]
+        assert bounds["round_stats"] == bounds["_simulate_range"] == blocks
 
     @pytest.mark.parametrize("frames, num_rounds", [(0, 4), (-3, 4), (5, -1)])
     def test_rejects_bad_arguments(self, frames, num_rounds):
