@@ -12,7 +12,12 @@ Rounds are incremental, as in the linear-time peeling of Luby et al.
 its degree and the sum of the user indices still in it, so a slot of degree
 1 names its owner. A round subtracts only the bursts of the users it decodes
 and credits one clean burst to the owner of each slot whose degree just fell
-to 1; no round rescans every burst of the frame.
+to 1; no round rescans every burst of the frame. When every k is 1 (CRDSA's
+replicas), a user decodes on its first clean burst, so the undecoded users
+holding one after a round are exactly the owners of the slots whose degree
+fell to 1 in it: a slot of degree 1 before the round named a user that the
+round decoded. Such rounds take the next round's users from those slots and
+keep no clean-burst counts, with the same masks.
 
 Traces and round statistics peel frames side by side, as one frame: they
 share no slot, and peeling acts on each connected component alone, so each
@@ -79,6 +84,7 @@ def _peel(
     clean_counts = np.bincount(user_of_burst[degree[slot_of_burst] == 1], minlength=nu)
     undecoded = np.ones(nu, dtype=bool)
     decodable = clean_counts >= k_arr
+    replicas_only = config.total_payload == nu  # every user has k = 1
 
     decoded_by_round: list[np.ndarray] = []
     while decodable.any():
@@ -87,14 +93,17 @@ def _peel(
         removed = np.bincount(hit_slots, minlength=ns)
         degree -= removed
         owner -= np.bincount(hit_slots, weights=user_of_burst[hit], minlength=ns)
-        # slots whose degree just fell to 1 give their owner one clean burst
-        fresh = owner[(removed > 0) & (degree == 1)].astype(np.int64)
-        clean_counts += np.bincount(fresh, minlength=nu)
         undecoded ^= decodable
         decoded_by_round.append(decodable)
         if len(decoded_by_round) > nu:
             raise InternalError(f"peeling ran {len(decoded_by_round)} rounds for {nu} users")
-        decodable = undecoded & (clean_counts >= k_arr)
+        if replicas_only:  # the owners of the slots whose degree just fell to 1
+            decodable = np.zeros(nu, dtype=bool)
+            decodable[owner[hit_slots[degree[hit_slots] == 1]].astype(np.int64)] = True
+        else:  # slots whose degree just fell to 1 give their owner one clean burst
+            fresh = owner[(removed > 0) & (degree == 1)].astype(np.int64)
+            clean_counts += np.bincount(fresh, minlength=nu)
+            decodable = undecoded & (clean_counts >= k_arr)
     return undecoded, decoded_by_round, degree, len(decoded_by_round)
 
 

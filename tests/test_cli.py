@@ -1180,6 +1180,16 @@ g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
 0.99,100,4;2,2;1,20,0.1745,0.794366,0.0311035,0.0335956,3
 """,
     ),
+    # k = 1 users of two burst counts, peeled by the k = 1 rounds, with
+    # PLR above 0
+    "simulate-replica-mixture": (
+        "ns=40\nusers=12x(3,1) 10x(2,1)\nseed=9\n",
+        ["simulate", "--frames", "300", "--workers", "2"],
+        """\
+g,ns,n,k,frames,throughput,plr,t_ci95,plr_ci95,seed
+0.55,40,3;2,1;1,300,0.534083,0.0289394,0.00505169,0.00918489,9
+""",
+    ),
     # a code repeated after other codes: per-user order decides which user
     # gets which placement row
     "simulate-interleaved": (

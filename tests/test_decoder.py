@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csasim import (
@@ -92,7 +92,8 @@ class TestDecodeFrame:
 
     def test_rounds_match_synchronous_oracle(self):
         rng = random.Random(2718)
-        seen = {"k > 1": 0, "n > ns/2": 0, "ns = 1": 0, "3+ rounds": 0}
+        # both of _peel's round rules: all k = 1 and any k > 1
+        seen = {"all k = 1": 0, "k > 1": 0, "n > ns/2": 0, "ns = 1": 0, "3+ rounds": 0}
         for index in range(10_000):
             sizes = {} if index % 2 else {"max_users": 8, "max_ns": 10, "max_n": 5}
             config, slots = random_instance(rng, **sizes)
@@ -109,11 +110,41 @@ class TestDecodeFrame:
                 (set(r.newly_decoded), r.p_empirical, r.q_empirical)
                 for r in trace.rounds
             ] == rounds
+            seen["all k = 1"] += all(u.k == 1 for u in user_codes(config))
             seen["k > 1"] += any(u.k > 1 for u in user_codes(config))
             seen["n > ns/2"] += any(2 * u.n > config.ns for u in user_codes(config))
             seen["ns = 1"] += config.ns == 1
             seen["3+ rounds"] += n_rounds >= 3
         assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize(
+        "slots, rounds",
+        [
+            # users 1 and 2 decode in round 0, and each hands user 0 a fresh
+            # slot in it, so round 0 names user 0 twice
+            ([[0, 1], [0, 2], [1, 3]], [{1, 2}, {0}]),
+            # every slot holds two bursts: no user ever has a clean one
+            ([[0, 1], [0, 1], [2, 3], [2, 3]], []),
+        ],
+        ids=["duplicate-fresh-owner", "no-clean-burst"],
+    )
+    def test_replica_rounds_match_synchronous_oracle(self, slots, rounds):
+        config = config_for(4, [(2, 1)] * len(slots))
+        placement = make_placement(4, slots)
+        oracle_rounds, oracle_undecoded, final_p = synchronous_rounds_oracle(
+            4, user_codes(config), slots
+        )
+        assert [newly for newly, _, _ in oracle_rounds] == rounds
+        undecoded, by_round, degree, n_rounds = _peel(config, placement)
+        assert [set(np.flatnonzero(mask).tolist()) for mask in by_round] == rounds
+        assert n_rounds == len(rounds)
+        assert set(np.flatnonzero(undecoded).tolist()) == oracle_undecoded
+        assert degree.sum() == 2 * len(oracle_undecoded)
+        trace = decode_frame(config, placement)
+        assert [
+            (set(r.newly_decoded), r.p_empirical, r.q_empirical) for r in trace.rounds
+        ] == oracle_rounds
+        assert trace.final_p == final_p
 
     def test_matches_rescan_oracle_exhaustively(self):
         from itertools import combinations, product
@@ -228,6 +259,14 @@ def small_mixtures(draw):
 class TestFramesSideBySide:
     @given(small_mixtures(), st.integers(0, 50), st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
+    # each of _peel's round rules, whatever share of mixtures draws it:
+    # all (n,1) users with two burst counts, and mixed k
+    @example(
+        SystemConfig(ns=10, groups=[(UserCode(3, 1), 3), (UserCode(2, 1), 3)], seed=4), 0, 5
+    )
+    @example(
+        SystemConfig(ns=10, groups=[(UserCode(4, 2), 2), (UserCode(2, 1), 3)], seed=4), 0, 5
+    )
     def test_peel_as_each_frame_alone(self, config, start, frames):
         # frames laid side by side share no slot, so one peel of the wide
         # frame is each frame's own peel, round by round
