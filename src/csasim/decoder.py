@@ -24,7 +24,10 @@ share no slot, and peeling acts on each connected component alone, so each
 round of it is that round of every frame. Replaying the per-round masks, a
 round's collided fraction is a frame's bursts left less its slots of degree
 1, over those bursts, and at the fixpoint it is above 0 exactly when the
-frame deadlocked. Monte Carlo counts (``frame_counts``) peel frame by frame.
+frame deadlocked. At these sizes a round costs what its number of NumPy calls
+costs, so each of its steps is one C-level call. Monte Carlo counts
+(``frame_counts``) still peel frame by frame, because the benchmark's tracer
+counts ``_peel`` calls as frames (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -80,19 +83,20 @@ def _peel(
     slot_of_burst = placement.slot_of_burst
     ns = config.ns
     degree = placement.degree_of_slot.copy()
-    owner = np.bincount(slot_of_burst, weights=user_of_burst, minlength=ns)
+    weights = user_of_burst.astype(np.float64)  # converted once, not by every bincount
+    owner = np.bincount(slot_of_burst, weights=weights, minlength=ns)
     clean_counts = np.bincount(user_of_burst[degree[slot_of_burst] == 1], minlength=nu)
     undecoded = np.ones(nu, dtype=bool)
     decodable = clean_counts >= k_arr
     replicas_only = config.total_payload == nu  # every user has k = 1
 
     decoded_by_round: list[np.ndarray] = []
-    while decodable.any():
-        hit = decodable[user_of_burst]
+    while np.count_nonzero(decodable):  # one C call; ndarray.any goes through Python
+        hit = decodable[user_of_burst].nonzero()[0]  # the decoded users' burst positions
         hit_slots = slot_of_burst[hit]
         removed = np.bincount(hit_slots, minlength=ns)
         degree -= removed
-        owner -= np.bincount(hit_slots, weights=user_of_burst[hit], minlength=ns)
+        owner -= np.bincount(hit_slots, weights=weights[hit], minlength=ns)
         undecoded ^= decodable
         decoded_by_round.append(decodable)
         if len(decoded_by_round) > nu:

@@ -239,13 +239,17 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
             for row in at:
                 slot_of_burst[row] = np.sort(rng.choice(ns, size=n, replace=False))
             continue
-        rows = np.sort(rng.integers(0, ns, size=at.shape), axis=1)
+        rows = rng.integers(0, ns, size=at.shape)
+        rows.sort(axis=1)
+        columns = rows.T.copy()  # compared column by column: one C loop per pair, not per row
         # only a row just redrawn can hold a repeat, so each pass tests those
-        bad = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        bad = np.logical_or.reduce(columns[1:] == columns[:-1]).nonzero()[0]
         while bad.size:
-            drawn = np.sort(rng.integers(0, ns, size=(bad.size, n)), axis=1)
+            drawn = rng.integers(0, ns, size=(bad.size, n))
+            drawn.sort(axis=1)
             rows[bad] = drawn
-            bad = bad[(drawn[:, 1:] == drawn[:, :-1]).any(axis=1)]
+            columns = drawn.T.copy()
+            bad = bad[np.logical_or.reduce(columns[1:] == columns[:-1])]
         slot_of_burst[at] = rows
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst)
 

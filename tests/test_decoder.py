@@ -12,6 +12,7 @@ from csasim import (
     decode_frame,
     place_frame,
 )
+from csasim import decoder
 from csasim.decoder import _peel, frame_counts
 from helpers import (
     collided_share,
@@ -287,6 +288,38 @@ class TestFramesSideBySide:
             lost = config.thresholds[undecoded[own]].sum()
             assert counts[:, j].tolist() == [alone_rounds, np.count_nonzero(undecoded[own]), lost]
         assert n_rounds == max(counts[0])
+
+
+# an all-(n,1) config and a mixed-k one: each of _peel's round rules
+@pytest.mark.parametrize(
+    "groups",
+    [[(UserCode(3, 1), 30), (UserCode(2, 1), 10)], [(UserCode(4, 2), 8), (UserCode(2, 1), 12)]],
+)
+class TestPlacementUntouched:
+    def test_peel(self, groups):
+        config = SystemConfig(ns=60, groups=groups, seed=7)
+        for j in range(20):
+            placement = place_frame(config, j)
+            slots, degree = placement.slot_of_burst.copy(), placement.degree_of_slot.copy()
+            _peel(config, placement)
+            assert np.array_equal(placement.slot_of_burst, slots)
+            assert np.array_equal(placement.degree_of_slot, degree)
+
+    def test_frame_counts(self, groups, monkeypatch):
+        config = SystemConfig(ns=60, groups=groups, seed=7)
+        placed = []
+
+        def place_and_snapshot(config, frame_index):
+            placement = place_frame(config, frame_index)
+            placed.append((placement, placement.slot_of_burst.copy(), placement.degree_of_slot.copy()))
+            return placement
+
+        monkeypatch.setattr(decoder, "place_frame", place_and_snapshot)
+        frame_counts(config, 0, 20)
+        assert len(placed) == 20
+        for placement, slots, degree in placed:
+            assert np.array_equal(placement.slot_of_burst, slots)
+            assert np.array_equal(placement.degree_of_slot, degree)
 
 
 def empirical_p0(config, placement):

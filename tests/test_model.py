@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import re
@@ -327,6 +328,35 @@ class TestPlaceFrame:
         for slots in slots_by_user(config, placement):
             recounted[slots] += 1
         assert np.array_equal(recounted, placement.degree_of_slot)
+
+    @pytest.mark.parametrize(
+        ("text", "digest"),
+        [
+            # the sparse branch, with rows redrawn in most frames
+            (
+                "ns=400\nusers=302x(3,1)\nseed=1\n",
+                "aee063533fc6f5c039cc031c8a8ba7530c232aa171118351d920498b9e091123",
+            ),
+            # the dense branch: n = 8 and n = 12 exceed ns // 2
+            (
+                "ns=12\nusers=2x(8,3) 3x(2,1) 1x(12,1)\nseed=5\n",
+                "1ef7d8a32db702c27a39f14d58b87008dc2cf2608fcb78e0c43e9cb3d45a8800",
+            ),
+            # one burst count in groups that other groups split apart
+            (
+                "ns=12\nusers=1x(3,1) 2x(3,2) 1x(2,1) 1x(3,1)\nseed=5\n",
+                "c760a8082ef0d58699fc839da366b551c7e3dfa4975e0c5be8c8bf27b767ccb4",
+            ),
+        ],
+    )
+    def test_placement_bits_pinned(self, text, digest):
+        # sha256 of slot_of_burst over frames 0-199; a change to how rows are
+        # drawn, redrawn, sorted or scattered moves it
+        config = parse_config(text)
+        h = hashlib.sha256()
+        for j in range(200):
+            h.update(place_frame(config, j).slot_of_burst.tobytes())
+        assert h.hexdigest() == digest
 
 
 def degree_law(placement):
