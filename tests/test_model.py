@@ -347,6 +347,12 @@ class TestPlaceFrame:
                 "ns=12\nusers=1x(3,1) 2x(3,2) 1x(2,1) 1x(3,1)\nseed=5\n",
                 "c760a8082ef0d58699fc839da366b551c7e3dfa4975e0c5be8c8bf27b767ccb4",
             ),
+            # n = ns // 2 stays sparse: 4 to 16 redraw passes a frame, which
+            # pins the order of the passes
+            (
+                "ns=8\nusers=30x(4,1)\nseed=2\n",
+                "414bf0d5f92597fdbe06775b19f8ebd68c4bf731d2bc3f6b60384ddecb9704f3",
+            ),
         ],
     )
     def test_placement_bits_pinned(self, text, digest):
