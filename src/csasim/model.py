@@ -218,17 +218,21 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
     """Draw every user's burst slots for one frame.
 
     Each user independently occupies a uniformly random n-subset of the ns
-    slots. Users with equal n are sampled in one batched draw; rows with a
-    repeated slot are redrawn, which leaves the subset distribution uniform.
-    The random stream is a pure function of (config.seed, frame_index), and
-    streams for distinct frame indices are independent, so frames can be
+    slots. The random stream is a pure function of (config.seed, frame_index),
+    and streams for distinct frame indices are independent, so frames can be
     placed in any order or on any number of workers without changing the
-    result. A negative ``frame_index`` raises ``ValueError``.
+    result. Its bits rest on the draw order: burst counts go in ascending n;
+    up to n = ns // 2, each pass makes one batched ``integers`` draw of the
+    rows still to draw, in row order, and redraws the rows that repeat a slot
+    (which keeps the law uniform); a larger n takes one ``choice`` per row. A
+    non-integer ``frame_index`` raises ``TypeError``; a negative, ``ValueError``.
     """
-    if frame_index < 0:
-        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     import numpy as np
 
+    if not isinstance(frame_index, (int, np.integer)):
+        raise TypeError(f"frame_index must be an integer, got {frame_index!r}")
+    if frame_index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     ns = config.ns
     rng = np.random.default_rng([config.seed, frame_index])
     slot_of_burst = np.empty(config.user_of_burst.size, dtype=np.int64)
@@ -239,18 +243,13 @@ def place_frame(config: SystemConfig, frame_index: int) -> FramePlacement:
             for row in at:
                 slot_of_burst[row] = np.sort(rng.choice(ns, size=n, replace=False))
             continue
-        rows = rng.integers(0, ns, size=at.shape)
-        rows.sort(axis=1)
-        columns = rows.T.copy()  # compared column by column: one C loop per pair, not per row
-        # only a row just redrawn can hold a repeat, so each pass tests those
-        bad = np.logical_or.reduce(columns[1:] == columns[:-1]).nonzero()[0]
-        while bad.size:
-            drawn = rng.integers(0, ns, size=(bad.size, n))
+        rows = at  # the burst positions still to draw; only those just drawn can repeat a slot
+        while rows.size:
+            drawn = rng.integers(0, ns, size=rows.shape)
             drawn.sort(axis=1)
-            rows[bad] = drawn
-            columns = drawn.T.copy()
-            bad = bad[np.logical_or.reduce(columns[1:] == columns[:-1])]
-        slot_of_burst[at] = rows
+            slot_of_burst[rows] = drawn
+            columns = drawn.T.copy()  # a C loop per column pair; rows by index: a mask is slower
+            rows = rows.take(np.logical_or.reduce(columns[1:] == columns[:-1]).nonzero()[0], axis=0)
     return FramePlacement(ns=ns, slot_of_burst=slot_of_burst)
 
 

@@ -13,7 +13,7 @@ from csasim import (
     place_frame,
 )
 from csasim import decoder
-from csasim.decoder import _peel, frame_counts
+from csasim.decoder import _peel, _rounds, frame_counts
 from helpers import (
     collided_share,
     make_placement,
@@ -271,11 +271,11 @@ class TestFramesSideBySide:
     def test_peel_as_each_frame_alone(self, config, start, frames):
         # frames laid side by side share no slot, so one peel of the wide
         # frame is each frame's own peel, round by round
-        ns, nu = config.ns, config.n_users
+        nu = config.n_users
         placements = [place_frame(config, start + j) for j in range(frames)]
-        wide = config._replace(ns=frames * ns, groups=config.groups * frames)
-        slots = np.concatenate([p.slot_of_burst + j * ns for j, p in enumerate(placements)])
-        undecoded, by_round, _, n_rounds = _peel(wide, FramePlacement(frames * ns, slots))
+        by_round, _ = _rounds(config, placements)
+        # a user is undecoded when no round's mask decodes it
+        undecoded = ~np.logical_or.reduce([np.zeros(frames * nu, dtype=bool), *by_round])
         counts = frame_counts(config, start, start + frames)
         for j, placement in enumerate(placements):
             alone, alone_by_round, _, alone_rounds = _peel(config, placement)
@@ -287,7 +287,7 @@ class TestFramesSideBySide:
             assert not any(mask.any() for mask in masks[alone_rounds:])
             lost = config.thresholds[undecoded[own]].sum()
             assert counts[:, j].tolist() == [alone_rounds, np.count_nonzero(undecoded[own]), lost]
-        assert n_rounds == max(counts[0])
+        assert len(by_round) == max(counts[0])
 
 
 # an all-(n,1) config and a mixed-k one: each of _peel's round rules

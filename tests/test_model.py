@@ -284,6 +284,17 @@ class TestPlaceFrame:
         se = fractions.std(ddof=1) / np.sqrt(frames)
         assert abs(fractions.mean() - 0.25) <= 3 * se
 
+    def test_bad_frame_index_is_named(self):
+        config = SystemConfig(ns=20, groups=((UserCode(3, 1), 5),), seed=42)
+        with pytest.raises(ValueError, match=r"^frame_index must be >= 0, got -1$"):
+            place_frame(config, -1)
+        with pytest.raises(TypeError, match=r"^frame_index must be an integer, got 2\.0$"):
+            place_frame(config, 2.0)
+        # a NumPy integer is an integer, and places the same frame
+        assert np.array_equal(
+            place_frame(config, np.int64(2)).slot_of_burst, place_frame(config, 2).slot_of_burst
+        )
+
     def test_deterministic_per_frame_index(self):
         config = SystemConfig(ns=20, groups=((UserCode(3, 1), 5),), seed=42)
         a = place_frame(config, 7)
